@@ -38,8 +38,8 @@ int main() {
   // Oracle: all co-hosting (v4 prefix, v6 prefix) combinations — every
   // pair of announced prefixes sharing >= 1 dual-stack domain.
   std::unordered_set<PairKey, PairKeyHash> truth;
-  for (const auto& [v4_prefix, domains] : corpus.prefix_domains(sp::Family::v4)) {
-    for (const sp::core::DomainId id : domains) {
+  for (const sp::Prefix& v4_prefix : corpus.prefixes(sp::Family::v4)) {
+    for (const sp::core::DomainId id : corpus.domains_of(v4_prefix)) {
       for (const sp::Prefix& v6_prefix : corpus.prefixes_of(id, sp::Family::v6)) {
         truth.insert({v4_prefix, v6_prefix});
       }
@@ -60,11 +60,8 @@ int main() {
     const auto monitoring =
         corpus.interner().find(sp::dns::DomainName::must_parse("probe.monitorcorp.example"));
     if (!monitoring) return false;
-    const sp::core::DomainSet* v4_domains = corpus.domains_of(pair.v4);
-    const sp::core::DomainSet* v6_domains = corpus.domains_of(pair.v6);
-    return v4_domains != nullptr && v6_domains != nullptr &&
-           sp::core::contains_id(*v4_domains, *monitoring) &&
-           sp::core::contains_id(*v6_domains, *monitoring);
+    return sp::core::contains_id(corpus.domains_of(pair.v4), *monitoring) &&
+           sp::core::contains_id(corpus.domains_of(pair.v6), *monitoring);
   };
 
   sp::analysis::TextTable table(

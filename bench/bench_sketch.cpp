@@ -46,8 +46,7 @@ const ScaledCorpus& corpus_at(int scale) {
     const synth::SyntheticInternet universe(config);
     const auto snapshot = universe.snapshot_at(universe.month_count() - 1);
     auto corpus = core::DualStackCorpus::build(snapshot, universe.rib());
-    auto index = core::DetectIndex::build(corpus.prefix_domains(Family::v4),
-                                          corpus.prefix_domains(Family::v6));
+    auto index = corpus.detect_index();
     slot = std::make_unique<ScaledCorpus>(
         ScaledCorpus{std::move(corpus), std::move(index)});
   }

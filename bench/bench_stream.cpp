@@ -60,10 +60,8 @@ const Months& months() {
     const synth::SyntheticInternet universe(config);
     const auto corpus0 = core::DualStackCorpus::build(universe.snapshot_at(0), universe.rib());
     const auto corpus1 = core::DualStackCorpus::build(universe.snapshot_at(1), universe.rib());
-    cache->month0 = core::DetectIndex::build(corpus0.prefix_domains(Family::v4),
-                                             corpus0.prefix_domains(Family::v6));
-    cache->month1 = core::DetectIndex::build(corpus1.prefix_domains(Family::v4),
-                                             corpus1.prefix_domains(Family::v6));
+    cache->month0 = corpus0.detect_index();
+    cache->month1 = corpus1.detect_index();
 
     auto v4_sets = sets_of(cache->month1.v4);
     auto v6_sets = sets_of(cache->month1.v6);

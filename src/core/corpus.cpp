@@ -1,118 +1,173 @@
 #include "core/corpus.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 namespace sp::core {
 
 namespace {
 
-const std::vector<Prefix> kNoPrefixes;
+/// One resolved address of one DS domain. Rows compare by address, then
+/// domain, so sorting groups each host's domains in order.
+template <typename Address>
+struct Row {
+  Address address;
+  DomainId domain;
 
-void sort_unique(std::vector<Prefix>& prefixes) {
+  friend constexpr auto operator<=>(const Row&, const Row&) noexcept = default;
+};
+
+/// Sorts one family's rows, maps each distinct host to its announced
+/// prefix, and buckets the rows into the family's host CSR and DetectIndex
+/// side. Addresses without a covering announcement are counted in
+/// `unmapped` (once per row, as resolved) and dropped.
+template <typename Address>
+void build_family(std::vector<Row<Address>> rows, const bgp::Rib& rib, std::size_t& unmapped,
+                  DualStackCorpus::HostTable& hosts, DetectIndex::Side& side) {
+  std::sort(rows.begin(), rows.end());
+  // Upper bounds (exact unless hosts go unmapped), so arrays allocate once.
+  std::size_t host_count = 0;
+  std::size_t edge_count = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const bool new_host = i == 0 || rows[i].address != rows[i - 1].address;
+    host_count += new_host ? 1 : 0;
+    edge_count += new_host || rows[i].domain != rows[i - 1].domain ? 1 : 0;
+  }
+  if (edge_count > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("DualStackCorpus: family exceeds 2^32 host domains");
+  }
+  hosts.addresses.reserve(host_count);
+  hosts.owners.reserve(host_count);
+  hosts.offsets.reserve(host_count + 1);
+  hosts.offsets.assign(1, 0);
+  hosts.domains.reserve(edge_count);
+
+  // Sorted hosts meet their owners in runs; `owners` holds run indexes
+  // until the owners are sorted into dense ids below.
+  std::vector<Prefix> runs;
+  for (std::size_t begin = 0, end = 0; begin < rows.size(); begin = end) {
+    end = begin + 1;
+    while (end < rows.size() && rows[end].address == rows[begin].address) ++end;
+    const IPAddress address(rows[begin].address);
+    const auto route = rib.lookup(address);
+    if (!route) {
+      unmapped += end - begin;
+      continue;
+    }
+    if (runs.empty() || runs.back() != route->prefix) runs.push_back(route->prefix);
+    hosts.addresses.push_back(address);
+    hosts.owners.push_back(static_cast<std::uint32_t>(runs.size() - 1));
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i == begin || rows[i].domain != rows[i - 1].domain) {
+        hosts.domains.push_back(rows[i].domain);
+      }
+    }
+    hosts.offsets.push_back(static_cast<std::uint32_t>(hosts.domains.size()));
+  }
+  std::vector<Row<Address>>().swap(rows);
+
+  std::vector<Prefix> prefixes = runs;
   std::sort(prefixes.begin(), prefixes.end());
   prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
+  std::vector<std::uint32_t> dense_of_run(runs.size());
+  for (std::size_t run = 0; run < runs.size(); ++run) {
+    dense_of_run[run] = static_cast<std::uint32_t>(
+        std::lower_bound(prefixes.begin(), prefixes.end(), runs[run]) - prefixes.begin());
+  }
+  std::vector<std::uint64_t> edges;
+  edges.reserve(hosts.domains.size());
+  for (std::uint32_t row = 0; row < hosts.size(); ++row) {
+    hosts.owners[row] = dense_of_run[hosts.owners[row]];
+    for (const DomainId domain : hosts.domains_of(row)) {
+      edges.push_back((static_cast<std::uint64_t>(hosts.owners[row]) << 32) | domain);
+    }
+  }
+  side = DetectIndex::make_side(std::move(prefixes), std::move(edges));
 }
 
 }  // namespace
+
+std::pair<std::uint32_t, std::uint32_t> DualStackCorpus::HostTable::rows_within(
+    const Prefix& prefix) const noexcept {
+  const auto first = std::lower_bound(addresses.begin(), addresses.end(), prefix.address());
+  const auto last = std::partition_point(
+      first, addresses.end(), [&prefix](const IPAddress& address) {
+        return prefix.contains(address);
+      });
+  return {static_cast<std::uint32_t>(first - addresses.begin()),
+          static_cast<std::uint32_t>(last - addresses.begin())};
+}
 
 DualStackCorpus DualStackCorpus::build(const dns::ResolutionSnapshot& snapshot,
                                        const bgp::Rib& rib) {
   DualStackCorpus corpus;
   corpus.stats_.snapshot_domains = snapshot.domain_count();
-  std::unordered_map<Prefix, Prefix> host_owner;  // host prefix → announced prefix
 
+  std::vector<Row<IPv4Address>> v4_rows;
+  std::vector<Row<IPv6Address>> v6_rows;
   for (const dns::DomainResolution& entry : snapshot.entries()) {
     if (!entry.dual_stack()) continue;
     // Identity is the response name: several queried names CNAME-ing to the
     // same target collapse into one service.
     const DomainId id = corpus.interner_.intern(entry.response_name);
-    if (corpus.v4_prefixes_by_domain_.size() < corpus.interner_.size()) {
-      corpus.v4_prefixes_by_domain_.resize(corpus.interner_.size());
-      corpus.v6_prefixes_by_domain_.resize(corpus.interner_.size());
-    }
-
-    const auto map_address = [&](const IPAddress& address, Family family) {
-      if (is_reserved(address)) {
-        ++corpus.stats_.discarded_reserved;
-        return;
+    const auto emit = [&](const auto& addresses, auto& rows) {
+      for (const auto& address : addresses) {
+        if (is_reserved(address)) {
+          ++corpus.stats_.discarded_reserved;
+        } else {
+          rows.push_back({address, id});
+        }
       }
-      const auto route = rib.lookup(address);
-      if (!route) {
-        ++corpus.stats_.unmapped_addresses;
-        return;
-      }
-      // Appended unsorted and normalized once below: the sorted-insert
-      // (insert_id) this replaced made every set build quadratic, which
-      // dominated corpus construction at the 10× synth scale where CDN
-      // edge replication produces multi-thousand-element prefix sets.
-      auto& prefix_domains =
-          family == Family::v4 ? corpus.v4_prefix_domains_ : corpus.v6_prefix_domains_;
-      prefix_domains[route->prefix].push_back(id);
-      auto& by_domain = family == Family::v4 ? corpus.v4_prefixes_by_domain_
-                                             : corpus.v6_prefixes_by_domain_;
-      by_domain[id].push_back(route->prefix);
-      auto& hosts = family == Family::v4 ? corpus.v4_hosts_ : corpus.v6_hosts_;
-      hosts[Prefix::host(address)].push_back(id);
-      host_owner[Prefix::host(address)] = route->prefix;
     };
-
-    for (const IPv4Address& address : entry.v4) map_address(IPAddress(address), Family::v4);
-    for (const IPv6Address& address : entry.v6) map_address(IPAddress(address), Family::v6);
+    emit(entry.v4, v4_rows);
+    emit(entry.v6, v6_rows);
   }
 
-  for (auto* sets : {&corpus.v4_prefix_domains_, &corpus.v6_prefix_domains_}) {
-    for (auto& [prefix, set] : *sets) normalize(set);
-  }
-  for (auto& prefixes : corpus.v4_prefixes_by_domain_) sort_unique(prefixes);
-  for (auto& prefixes : corpus.v6_prefixes_by_domain_) sort_unique(prefixes);
-
-  for (const auto& [host, announced] : host_owner) {
-    auto& hosts = host.family() == Family::v4 ? corpus.v4_hosts_ : corpus.v6_hosts_;
-    DomainSet* domains = hosts.find(host);
-    normalize(*domains);
-    corpus.prefix_hosts_[announced].push_back(HostDomains{host, *domains});
-  }
-  for (auto& [announced, hosts] : corpus.prefix_hosts_) {
-    std::sort(hosts.begin(), hosts.end(),
-              [](const HostDomains& a, const HostDomains& b) { return a.host < b.host; });
-  }
-
+  build_family(std::move(v4_rows), rib, corpus.stats_.unmapped_addresses, corpus.v4_hosts_,
+               corpus.index_.v4);
+  build_family(std::move(v6_rows), rib, corpus.stats_.unmapped_addresses, corpus.v6_hosts_,
+               corpus.index_.v6);
   corpus.stats_.dual_stack_domains = corpus.interner_.size();
-  corpus.stats_.v4_prefixes = corpus.v4_prefix_domains_.size();
-  corpus.stats_.v6_prefixes = corpus.v6_prefix_domains_.size();
-  corpus.index_ = DetectIndex::build(corpus.v4_prefix_domains_, corpus.v6_prefix_domains_);
+  corpus.stats_.v4_prefixes = corpus.index_.v4.prefix_count();
+  corpus.stats_.v6_prefixes = corpus.index_.v6.prefix_count();
   return corpus;
 }
 
-const DomainSet* DualStackCorpus::domains_of(const Prefix& prefix) const noexcept {
-  const auto& map = prefix_domains(prefix.family());
-  const auto it = map.find(prefix);
-  return it == map.end() ? nullptr : &it->second;
-}
-
-const std::vector<Prefix>& DualStackCorpus::prefixes_of(DomainId id,
-                                                        Family family) const noexcept {
-  const auto& by_domain =
-      family == Family::v4 ? v4_prefixes_by_domain_ : v6_prefixes_by_domain_;
-  if (id >= by_domain.size()) return kNoPrefixes;
-  return by_domain[id];
-}
-
-const std::vector<DualStackCorpus::HostDomains>& DualStackCorpus::hosts_of(
-    const Prefix& announced) const noexcept {
-  static const std::vector<HostDomains> kNoHosts;
-  const auto it = prefix_hosts_.find(announced);
-  return it == prefix_hosts_.end() ? kNoHosts : it->second;
+std::vector<std::uint32_t> DualStackCorpus::hosts_of(const Prefix& announced) const {
+  std::vector<std::uint32_t> rows;
+  const auto owner = index_.side(announced.family()).dense_of(announced);
+  if (!owner) return rows;
+  const HostTable& table = hosts(announced.family());
+  const auto [first, last] = table.rows_within(announced);
+  for (std::uint32_t row = first; row < last; ++row) {
+    if (table.owners[row] == *owner) rows.push_back(row);
+  }
+  return rows;
 }
 
 DomainSet DualStackCorpus::domains_within(const Prefix& prefix) const {
-  DomainSet out;
-  host_trie(prefix.family())
-      .visit_covered(prefix, [&out](const Prefix&, const DomainSet& domains) {
-        out.insert(out.end(), domains.begin(), domains.end());
-      });
+  const HostTable& table = hosts(prefix.family());
+  const auto [first, last] = table.rows_within(prefix);
+  if (first == last) return {};
+  DomainSet out(table.domains.begin() + table.offsets[first],
+                table.domains.begin() + table.offsets[last]);
   normalize(out);
   return out;
+}
+
+std::size_t DualStackCorpus::memory_bytes() const noexcept {
+  const auto bytes = [](const auto&... arrays) {
+    return ((arrays.capacity() * sizeof(arrays[0])) + ...);
+  };
+  std::size_t total = interner_.memory_bytes();
+  for (const Family family : {Family::v4, Family::v6}) {
+    const HostTable& h = hosts(family);
+    const DetectIndex::Side& s = index_.side(family);
+    total += bytes(h.addresses, h.owners, h.offsets, h.domains, s.prefixes, s.set_offsets,
+                   s.set_elements, s.posting_offsets, s.postings);
+  }
+  return total;
 }
 
 }  // namespace sp::core

@@ -6,17 +6,22 @@
 // domain→prefix-set indexes that detection (step 3-4) and SP-Tuner need.
 // Domains are identified by their *response* name (post-CNAME), and
 // reserved/private addresses are discarded, both per the paper.
+//
+// One pass emits a flat (address, domain) row per resolved address; one
+// sort per family buckets the rows into two CSRs, the host table and the
+// DetectIndex (DESIGN.md §3.0). Every other accessor is a view over them.
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "bgp/rib.h"
 #include "core/detect_index.h"
 #include "core/domain_set.h"
 #include "dns/snapshot.h"
-#include "trie/prefix_trie.h"
 
 namespace sp::core {
 
@@ -32,6 +37,27 @@ class DualStackCorpus {
     std::size_t v6_prefixes = 0;
   };
 
+  /// One family's populated host addresses: the host-level CSR. Row r is
+  /// one address; rows ascend by address and stay fixed for the corpus's
+  /// lifetime, so they serve as cache keys (sketch::SketchEstimator).
+  struct HostTable {
+    std::vector<IPAddress> addresses;    // row → address, ascending
+    std::vector<std::uint32_t> owners;   // row → dense id of its announced prefix
+    std::vector<std::uint32_t> offsets;  // size rows+1
+    std::vector<DomainId> domains;       // concatenated sorted domain sets
+
+    [[nodiscard]] std::size_t size() const noexcept { return addresses.size(); }
+
+    /// The sorted, duplicate-free domain set on one row's address.
+    [[nodiscard]] std::span<const DomainId> domains_of(std::uint32_t row) const noexcept {
+      return {domains.data() + offsets[row], domains.data() + offsets[row + 1]};
+    }
+
+    /// The rows whose address lies inside `prefix`, as [first, second).
+    [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> rows_within(
+        const Prefix& prefix) const noexcept;
+  };
+
   [[nodiscard]] static DualStackCorpus build(const dns::ResolutionSnapshot& snapshot,
                                              const bgp::Rib& rib);
 
@@ -39,54 +65,48 @@ class DualStackCorpus {
   [[nodiscard]] const DomainInterner& interner() const noexcept { return interner_; }
   [[nodiscard]] std::size_t ds_domain_count() const noexcept { return interner_.size(); }
 
-  /// All announced prefixes of one family that host at least one DS domain,
-  /// with their domain sets.
-  [[nodiscard]] const std::unordered_map<Prefix, DomainSet>& prefix_domains(
-      Family family) const noexcept {
-    return family == Family::v4 ? v4_prefix_domains_ : v6_prefix_domains_;
-  }
-
-  /// Domain set of one prefix; nullptr when the prefix hosts no DS domain.
-  [[nodiscard]] const DomainSet* domains_of(const Prefix& prefix) const noexcept;
-
-  /// Announced prefixes of `family` hosting domain `id` (sorted).
-  [[nodiscard]] const std::vector<Prefix>& prefixes_of(DomainId id,
-                                                       Family family) const noexcept;
-
   /// Flat CSR candidate-generation index, built once by build(); shared
   /// read-only by all detection workers.
   [[nodiscard]] const DetectIndex& detect_index() const noexcept { return index_; }
 
-  /// Host-granularity index: /32 (or /128) host prefix → domains on that
-  /// address. SP-Tuner traverses these to evaluate sub-prefix candidates.
-  [[nodiscard]] const PrefixTrie<DomainSet>& host_trie(Family family) const noexcept {
+  /// All announced prefixes of one family that host at least one DS
+  /// domain, ascending.
+  [[nodiscard]] std::span<const Prefix> prefixes(Family family) const noexcept {
+    return index_.side(family).prefixes;
+  }
+
+  /// Domain set of one prefix; empty when the prefix hosts no DS domain.
+  [[nodiscard]] std::span<const DomainId> domains_of(const Prefix& prefix) const noexcept {
+    return index_.side(prefix.family()).elements_of(prefix);
+  }
+
+  /// Announced prefixes of `family` hosting domain `id`, ascending.
+  [[nodiscard]] auto prefixes_of(DomainId id, Family family) const {
+    return index_.side(family).prefixes_of(id);
+  }
+
+  /// The host-level CSR of one family.
+  [[nodiscard]] const HostTable& hosts(Family family) const noexcept {
     return family == Family::v4 ? v4_hosts_ : v6_hosts_;
   }
+
+  /// Rows (in hosts(announced.family())) of the populated hosts mapped to
+  /// announced prefix `announced`, ascending — its longest-match region,
+  /// so hosts of nested more-specific announcements are excluded. Empty
+  /// for unknown prefixes.
+  [[nodiscard]] std::vector<std::uint32_t> hosts_of(const Prefix& announced) const;
 
   /// Union of the domain sets of all addresses inside `prefix`.
   [[nodiscard]] DomainSet domains_within(const Prefix& prefix) const;
 
-  /// One populated host address inside an announced prefix.
-  struct HostDomains {
-    Prefix host;  // /32 or /128
-    DomainSet domains;
-  };
-
-  /// The populated hosts mapped to announced prefix `announced` (its
-  /// longest-match region, so hosts of nested more-specific announcements
-  /// are excluded). Empty for unknown prefixes.
-  [[nodiscard]] const std::vector<HostDomains>& hosts_of(const Prefix& announced) const noexcept;
+  /// Heap bytes held by the corpus: the capacities of its containers.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
   Stats stats_;
   DomainInterner interner_;
-  std::unordered_map<Prefix, DomainSet> v4_prefix_domains_;
-  std::unordered_map<Prefix, DomainSet> v6_prefix_domains_;
-  std::vector<std::vector<Prefix>> v4_prefixes_by_domain_;
-  std::vector<std::vector<Prefix>> v6_prefixes_by_domain_;
-  PrefixTrie<DomainSet> v4_hosts_;
-  PrefixTrie<DomainSet> v6_hosts_;
-  std::unordered_map<Prefix, std::vector<HostDomains>> prefix_hosts_;
+  HostTable v4_hosts_;
+  HostTable v6_hosts_;
   DetectIndex index_;
 };
 

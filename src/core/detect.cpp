@@ -1,39 +1,24 @@
 #include "core/detect.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "core/detect_parallel.h"
 
 namespace sp::core {
 
-namespace {
-const std::vector<Prefix> kNoPrefixes;
-}  // namespace
-
 void SetCorpus::add(const Prefix& prefix, DomainId element) {
   if (finalized_) {
     throw std::logic_error("SetCorpus::add called after finalize()");
   }
-  auto& sets = prefix.family() == Family::v4 ? v4_sets_ : v6_sets_;
-  sets[prefix].push_back(element);
-  auto& by_element =
-      prefix.family() == Family::v4 ? v4_prefixes_by_element_ : v6_prefixes_by_element_;
-  if (by_element.size() <= element) by_element.resize(element + 1);
-  by_element[element].push_back(prefix);
+  (prefix.family() == Family::v4 ? v4_edges_ : v6_edges_).emplace_back(prefix, element);
 }
 
 void SetCorpus::finalize() {
   if (finalized_) return;
-  for (auto* sets : {&v4_sets_, &v6_sets_}) {
-    for (auto& [prefix, set] : *sets) normalize(set);
-  }
-  for (auto* by_element : {&v4_prefixes_by_element_, &v6_prefixes_by_element_}) {
-    for (auto& prefixes : *by_element) {
-      std::sort(prefixes.begin(), prefixes.end());
-      prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
-    }
-  }
-  index_ = DetectIndex::build(v4_sets_, v6_sets_);
+  index_ = DetectIndex::from_edges(std::move(v4_edges_), std::move(v6_edges_));
+  v4_edges_ = {};
+  v6_edges_ = {};
   finalized_ = true;
 }
 
@@ -42,20 +27,6 @@ const DetectIndex& SetCorpus::detect_index() const {
     throw std::logic_error("SetCorpus::detect_index requires finalize()");
   }
   return index_;
-}
-
-const std::vector<Prefix>& SetCorpus::prefixes_of(DomainId element,
-                                                  Family family) const noexcept {
-  const auto& by_element =
-      family == Family::v4 ? v4_prefixes_by_element_ : v6_prefixes_by_element_;
-  if (element >= by_element.size()) return kNoPrefixes;
-  return by_element[element];
-}
-
-const DomainSet* SetCorpus::domains_of(const Prefix& prefix) const noexcept {
-  const auto& sets = prefix.family() == Family::v4 ? v4_sets_ : v6_sets_;
-  const auto it = sets.find(prefix);
-  return it == sets.end() ? nullptr : &it->second;
 }
 
 namespace {

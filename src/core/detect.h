@@ -14,9 +14,11 @@
 
 #include <algorithm>
 #include <compare>
+#include <ranges>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/corpus.h"
@@ -81,13 +83,14 @@ struct DetectOptions {
   DetectStrategy strategy = DetectStrategy::Exact;
 };
 
-/// The corpus interface detection runs on.
+/// The corpus interface the serial reference detector runs on: span views
+/// over a prefix→set index.
 template <typename C>
 concept SiblingCorpus = requires(const C& corpus, const Prefix& prefix, DomainId id,
                                  Family family) {
-  { corpus.prefix_domains(family) } -> std::convertible_to<const std::unordered_map<Prefix, DomainSet>&>;
-  { corpus.prefixes_of(id, family) } -> std::convertible_to<const std::vector<Prefix>&>;
-  { corpus.domains_of(prefix) } -> std::convertible_to<const DomainSet*>;
+  { corpus.prefixes(family) } -> std::convertible_to<std::span<const Prefix>>;
+  { corpus.domains_of(prefix) } -> std::convertible_to<std::span<const DomainId>>;
+  { corpus.prefixes_of(id, family) } -> std::ranges::input_range;
 };
 
 /// A generic prefix→element-set corpus (the "other inputs" of section
@@ -100,8 +103,8 @@ class SetCorpus {
   /// stale otherwise.
   void add(const Prefix& prefix, DomainId element);
 
-  /// Sorts sets and builds the inverted indexes (per-element prefix lists
-  /// plus the flat DetectIndex). Idempotent; add() must not be called
+  /// Sorts the observations into the flat DetectIndex, the same edge path
+  /// DualStackCorpus::build takes. Idempotent; add() must not be called
   /// afterwards.
   void finalize();
 
@@ -110,19 +113,20 @@ class SetCorpus {
   /// The flat detection index; throws std::logic_error before finalize().
   [[nodiscard]] const DetectIndex& detect_index() const;
 
-  [[nodiscard]] const std::unordered_map<Prefix, DomainSet>& prefix_domains(
-      Family family) const noexcept {
-    return family == Family::v4 ? v4_sets_ : v6_sets_;
+  // Views over the index: empty until finalize() has run.
+  [[nodiscard]] std::span<const Prefix> prefixes(Family family) const noexcept {
+    return index_.side(family).prefixes;
   }
-  [[nodiscard]] const std::vector<Prefix>& prefixes_of(DomainId element,
-                                                       Family family) const noexcept;
-  [[nodiscard]] const DomainSet* domains_of(const Prefix& prefix) const noexcept;
+  [[nodiscard]] std::span<const DomainId> domains_of(const Prefix& prefix) const noexcept {
+    return index_.side(prefix.family()).elements_of(prefix);
+  }
+  [[nodiscard]] auto prefixes_of(DomainId element, Family family) const {
+    return index_.side(family).prefixes_of(element);
+  }
 
  private:
-  std::unordered_map<Prefix, DomainSet> v4_sets_;
-  std::unordered_map<Prefix, DomainSet> v6_sets_;
-  std::vector<std::vector<Prefix>> v4_prefixes_by_element_;
-  std::vector<std::vector<Prefix>> v6_prefixes_by_element_;
+  std::vector<std::pair<Prefix, DomainId>> v4_edges_;
+  std::vector<std::pair<Prefix, DomainId>> v6_edges_;
   DetectIndex index_;
   bool finalized_ = false;
 };
@@ -137,7 +141,8 @@ void detect_direction(const Corpus& corpus, Metric metric, Family from,
                       std::vector<SiblingPair>& out) {
   const Family to = from == Family::v4 ? Family::v6 : Family::v4;
 
-  for (const auto& [prefix, elements] : corpus.prefix_domains(from)) {
+  for (const Prefix& prefix : corpus.prefixes(from)) {
+    const std::span<const DomainId> elements = corpus.domains_of(prefix);
     // Candidate counterpart prefixes share at least one element.
     std::unordered_map<Prefix, std::uint32_t> shared_counts;
     for (const DomainId id : elements) {
@@ -149,26 +154,25 @@ void detect_direction(const Corpus& corpus, Metric metric, Family from,
 
     double best = 0.0;
     for (const auto& [candidate, shared] : shared_counts) {
-      const DomainSet* candidate_elements = corpus.domains_of(candidate);
       best = std::max(best, similarity_from_sizes(metric, shared, elements.size(),
-                                                  candidate_elements->size()));
+                                                  corpus.domains_of(candidate).size()));
     }
     if (best <= 0.0) continue;
 
     for (const auto& [candidate, shared] : shared_counts) {
-      const DomainSet* candidate_elements = corpus.domains_of(candidate);
-      const double value = similarity_from_sizes(metric, shared, elements.size(),
-                                                 candidate_elements->size());
+      const std::size_t candidate_size = corpus.domains_of(candidate).size();
+      const double value =
+          similarity_from_sizes(metric, shared, elements.size(), candidate_size);
       if (value + kTieEpsilon < best) continue;
       SiblingPair pair;
       pair.v4 = from == Family::v4 ? prefix : candidate;
       pair.v6 = from == Family::v4 ? candidate : prefix;
       pair.similarity = value;
       pair.shared_domains = shared;
-      pair.v4_domain_count = static_cast<std::uint32_t>(
-          from == Family::v4 ? elements.size() : candidate_elements->size());
-      pair.v6_domain_count = static_cast<std::uint32_t>(
-          from == Family::v4 ? candidate_elements->size() : elements.size());
+      pair.v4_domain_count =
+          static_cast<std::uint32_t>(from == Family::v4 ? elements.size() : candidate_size);
+      pair.v6_domain_count =
+          static_cast<std::uint32_t>(from == Family::v4 ? candidate_size : elements.size());
       out.push_back(pair);
     }
   }

@@ -3,10 +3,8 @@
 //
 // Detection (paper steps 3-4) spends its time answering two queries per
 // source prefix: "which counterpart prefixes share an element with me?"
-// and "how large is each counterpart's element set?". The hash-map based
-// corpus interfaces answer both, but at the cost of one hash lookup per
-// element occurrence and one fresh unordered_map per source prefix. The
-// DetectIndex flattens everything once, at corpus finalize time:
+// and "how large is each counterpart's element set?". The DetectIndex
+// answers both from flat arrays:
 //
 //   prefixes        dense id → Prefix, sorted ascending (deterministic)
 //   set CSR         dense id → its sorted element set (offsets + elements)
@@ -16,11 +14,17 @@
 // counts[dense_id] scratch vector — no hashing, no allocation per prefix —
 // and the index is immutable after build, so any number of detection
 // workers can share it without synchronization.
+//
+// Every corpus builds it the same way: (prefix, element) edges sorted
+// once and bucketed into both CSRs by make_side().
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <ranges>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/domain_set.h"
@@ -61,6 +65,24 @@ struct DetectIndex {
       return {postings.data() + posting_offsets[element],
               postings.data() + posting_offsets[element + 1]};
     }
+
+    /// The dense id of `prefix` (binary search); nullopt when it has no row.
+    [[nodiscard]] std::optional<std::uint32_t> dense_of(const Prefix& prefix) const noexcept;
+
+    /// The element set of `prefix`; empty when it has no row.
+    [[nodiscard]] std::span<const DomainId> elements_of(const Prefix& prefix) const noexcept {
+      const auto dense = dense_of(prefix);
+      return dense ? elements_of(*dense) : std::span<const DomainId>{};
+    }
+
+    /// The prefixes containing `element`, ascending: a view over its
+    /// posting list.
+    [[nodiscard]] auto prefixes_of(DomainId element) const {
+      return postings_of(element) |
+             std::views::transform([this](std::uint32_t dense) -> const Prefix& {
+               return prefixes[dense];
+             });
+    }
   };
 
   Side v4;
@@ -70,10 +92,27 @@ struct DetectIndex {
     return family == Family::v4 ? v4 : v6;
   }
 
-  /// Flattens the per-family prefix→set maps (sets must already be sorted
+  /// One side from its ascending, duplicate-free `prefixes` and its edges,
+  /// each `(dense id << 32) | element` (any order, duplicates allowed).
+  /// Sorting the edge keys once lays out the set CSR; a counting sort then
+  /// lays out the posting CSR. Prefixes without edges keep an empty set.
+  [[nodiscard]] static Side make_side(std::vector<Prefix> prefixes,
+                                      std::vector<std::uint64_t> edges);
+
+  /// The index of (prefix, element) edge lists in any order, duplicates
+  /// allowed.
+  [[nodiscard]] static DetectIndex from_edges(
+      std::vector<std::pair<Prefix, DomainId>> v4_edges,
+      std::vector<std::pair<Prefix, DomainId>> v6_edges);
+
+  /// The index of per-family prefix→set maps (sets must already be sorted
   /// and duplicate-free, as DomainSet guarantees after normalize()).
   [[nodiscard]] static DetectIndex build(const std::unordered_map<Prefix, DomainSet>& v4_sets,
                                          const std::unordered_map<Prefix, DomainSet>& v6_sets);
+
+  /// Fills `side`'s posting CSR from its set CSR by counting sort, so
+  /// posting lists come out ascending without a per-list sort.
+  static void build_postings(Side& side);
 };
 
 }  // namespace sp::core

@@ -5,12 +5,13 @@
 // set growth. The overlay keeps that property while making the index
 // delta-updatable: apply() merges a CorpusDelta into a *fresh* pair of
 // CSR sides, copying the untouched rows' element spans verbatim and
-// rebuilding the posting lists with the same counting sort as
-// DetectIndex::build. Compaction is O(elements) — linear in the corpus,
-// independent of delta size — which is cheap next to detection's
-// superlinear candidate work, and it means every engine keeps scanning a
-// plain DetectIndex::Side: the byte-identity contract of
-// core/detect_scan.h needs no overlay-aware variant.
+// rebuilding the posting lists with the same counting sort as every
+// DetectIndex side (DetectIndex::build_postings). Compaction is
+// O(elements) — linear in the corpus, independent of delta size — which
+// is cheap next to detection's superlinear candidate work, and it means
+// every engine keeps scanning a plain DetectIndex::Side: the
+// byte-identity contract of core/detect_scan.h needs no overlay-aware
+// variant.
 //
 // apply() validates the delta against the current index (removals must
 // exist, additions must be new, entries sorted and unique) and throws

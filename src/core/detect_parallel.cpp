@@ -48,12 +48,11 @@ void ParallelDetector::detect_direction(const DetectIndex& index, Family from, M
   std::vector<DetectStats> locals(thread_count);
   std::atomic<std::size_t> next{0};
 
-  const char* direction = from == Family::v4 ? "detect.v4" : "detect.v6";
+  const char* shard_name = from == Family::v4 ? "detect.v4.shard" : "detect.v6.shard";
   const std::function<void(unsigned)> job = [&](unsigned worker) {
     // One trace span per shard per direction — worker granularity, so the
     // trace shows shard skew without per-prefix overhead.
-    const obs::ScopedSpan span(std::string(direction) + ".shard" + std::to_string(worker),
-                               "detect");
+    const obs::ScopedSpan span(shard_name, worker, "detect");
     Scratch scratch(to_side.prefix_count());
     std::vector<SiblingPair>& buffer = buffers[worker];
     DetectStats& local = locals[worker];

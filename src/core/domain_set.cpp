@@ -1,6 +1,8 @@
 #include "core/domain_set.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 namespace sp::core {
 
@@ -14,11 +16,11 @@ void insert_id(DomainSet& set, DomainId id) {
   if (it == set.end() || *it != id) set.insert(it, id);
 }
 
-bool contains_id(const DomainSet& set, DomainId id) noexcept {
+bool contains_id(std::span<const DomainId> set, DomainId id) noexcept {
   return std::binary_search(set.begin(), set.end(), id);
 }
 
-std::size_t intersection_size(const DomainSet& a, const DomainSet& b) noexcept {
+std::size_t intersection_size(std::span<const DomainId> a, std::span<const DomainId> b) noexcept {
   std::size_t count = 0;
   auto ia = a.begin();
   auto ib = b.begin();
@@ -59,6 +61,22 @@ DomainId DomainInterner::intern(const dns::DomainName& name) {
   const auto [it, inserted] = ids_.try_emplace(name, static_cast<DomainId>(names_.size()));
   if (inserted) names_.push_back(name);
   return it->second;
+}
+
+std::size_t DomainInterner::memory_bytes() const noexcept {
+  // A hash node holds the (name, id) pair, the next pointer and the cached
+  // hash; a name's characters live on the heap once they outgrow the
+  // string's inline buffer.
+  constexpr std::size_t kNodeBytes =
+      sizeof(std::pair<const dns::DomainName, DomainId>) + 2 * sizeof(void*);
+  const std::size_t inline_capacity = std::string().capacity();
+  std::size_t text_bytes = 0;
+  for (const dns::DomainName& name : names_) {
+    const std::size_t capacity = name.text().capacity();
+    if (capacity > inline_capacity) text_bytes += capacity + 1;
+  }
+  return names_.capacity() * sizeof(dns::DomainName) + ids_.bucket_count() * sizeof(void*) +
+         ids_.size() * kNodeBytes + 2 * text_bytes;
 }
 
 std::optional<DomainId> DomainInterner::find(const dns::DomainName& name) const noexcept {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -25,10 +26,11 @@ void normalize(DomainSet& set);
 /// Inserts `id` keeping the set sorted and unique.
 void insert_id(DomainSet& set, DomainId id);
 
-[[nodiscard]] bool contains_id(const DomainSet& set, DomainId id) noexcept;
+[[nodiscard]] bool contains_id(std::span<const DomainId> set, DomainId id) noexcept;
 
 /// |a ∩ b| by linear merge.
-[[nodiscard]] std::size_t intersection_size(const DomainSet& a, const DomainSet& b) noexcept;
+[[nodiscard]] std::size_t intersection_size(std::span<const DomainId> a,
+                                            std::span<const DomainId> b) noexcept;
 
 [[nodiscard]] DomainSet set_union(const DomainSet& a, const DomainSet& b);
 [[nodiscard]] DomainSet set_intersection(const DomainSet& a, const DomainSet& b);
@@ -47,6 +49,10 @@ class DomainInterner {
   [[nodiscard]] const dns::DomainName& name(DomainId id) const { return names_.at(id); }
 
   [[nodiscard]] std::size_t size() const noexcept { return names_.size(); }
+
+  /// Heap bytes held: both name copies (with their character buffers) and
+  /// the hash table's buckets and nodes.
+  [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
   std::unordered_map<dns::DomainName, DomainId> ids_;

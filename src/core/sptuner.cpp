@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
+
+#include "core/worker_pool.h"
 
 namespace sp::core {
 
@@ -23,63 +24,78 @@ SiblingPair make_pair(const Prefix& v4, const Prefix& v6, const DomainSet& d4,
   return pair;
 }
 
+/// Counts the inputs whose output is not the input pair alone, then
+/// merges all outputs sorted and duplicate-free.
+SpTunerResult merge_outputs(std::span<const SiblingPair> pairs,
+                            const std::vector<std::vector<SiblingPair>>& outputs) {
+  SpTunerResult result;
+  result.input_count = pairs.size();
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const bool unchanged = outputs[i].size() == 1 && outputs[i].front().v4 == pairs[i].v4 &&
+                           outputs[i].front().v6 == pairs[i].v6;
+    if (!unchanged) ++result.changed_count;
+    result.pairs.insert(result.pairs.end(), outputs[i].begin(), outputs[i].end());
+  }
+  std::sort(result.pairs.begin(), result.pairs.end());
+  result.pairs.erase(std::unique(result.pairs.begin(), result.pairs.end()),
+                     result.pairs.end());
+  return result;
+}
+
 }  // namespace
 
 SpTunerMs::SpTunerMs(const DualStackCorpus& corpus, SpTunerConfig config)
     : corpus_(&corpus), config_(config) {}
 
-DomainSet SpTunerMs::domains_of(std::span<const Item> items) {
+DomainSet SpTunerMs::domains_of(const Side& side) const {
+  const DualStackCorpus::HostTable& hosts = corpus_->hosts(side.prefix.family());
   DomainSet out;
-  for (const Item& item : items) {
-    out.insert(out.end(), item.domains->begin(), item.domains->end());
+  for (const std::uint32_t row : side.rows) {
+    const auto domains = hosts.domains_of(row);
+    out.insert(out.end(), domains.begin(), domains.end());
   }
   normalize(out);
   return out;
 }
 
-std::vector<const DomainSet*> SpTunerMs::domain_pointers(std::span<const Item> items) {
-  std::vector<const DomainSet*> ptrs;
-  ptrs.reserve(items.size());
-  for (const Item& item : items) ptrs.push_back(item.domains);
-  return ptrs;
+std::vector<EstimatorSet> SpTunerMs::estimator_sets(const Side& side) const {
+  const DualStackCorpus::HostTable& hosts = corpus_->hosts(side.prefix.family());
+  std::vector<EstimatorSet> sets;
+  sets.reserve(side.rows.size());
+  for (const std::uint32_t row : side.rows) sets.push_back({hosts.domains_of(row), row});
+  return sets;
 }
 
 bool SpTunerMs::can_descend(const Side& side, unsigned threshold) const {
   return side.prefix.length() < std::min(threshold, side.prefix.max_length());
 }
 
-std::vector<SpTunerMs::Side> SpTunerMs::children_of(const Side& side) {
+std::vector<SpTunerMs::Side> SpTunerMs::children_of(const Side& side) const {
+  const DualStackCorpus::HostTable& hosts = corpus_->hosts(side.prefix.family());
   std::vector<Side> children;
   Side low{side.prefix.child(0), {}};
   Side high{side.prefix.child(1), {}};
-  for (const Item& item : side.items) {
-    (low.prefix.contains(item.host) ? low : high).items.push_back(item);
+  for (const std::uint32_t row : side.rows) {
+    (low.prefix.contains(hosts.addresses[row]) ? low : high).rows.push_back(row);
   }
-  if (!low.items.empty()) children.push_back(std::move(low));
-  if (!high.items.empty()) children.push_back(std::move(high));
+  if (!low.rows.empty()) children.push_back(std::move(low));
+  if (!high.rows.empty()) children.push_back(std::move(high));
   return children;
 }
 
 std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
   std::vector<SiblingPair> results;
 
-  const auto to_items = [](const std::vector<DualStackCorpus::HostDomains>& hosts) {
-    std::vector<Item> items;
-    items.reserve(hosts.size());
-    for (const auto& host : hosts) items.push_back({host.host, &host.domains});
-    return items;
-  };
-
   std::vector<Task> work;
-  work.push_back(Task{{pair.v4, to_items(corpus_->hosts_of(pair.v4))},
-                      {pair.v6, to_items(corpus_->hosts_of(pair.v6))}});
+  work.push_back(
+      Task{{pair.v4, corpus_->hosts_of(pair.v4)}, {pair.v6, corpus_->hosts_of(pair.v6)}});
 
   while (!work.empty()) {
     Task task = std::move(work.back());
     work.pop_back();
 
-    DomainSet d4 = domains_of(task.v4.items);
-    DomainSet d6 = domains_of(task.v6.items);
+    DomainSet d4 = domains_of(task.v4);
+    DomainSet d6 = domains_of(task.v6);
     double current = similarity_from_sizes(Metric::Jaccard, intersection_size(d4, d6),
                                            d4.size(), d6.size());
     if (current <= 0.0) continue;  // pairs with similarity 0 are discarded
@@ -103,11 +119,11 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
       // once per refinement step instead of once per (c4, c6) combination.
       std::vector<DomainSet> unions6;
       unions6.reserve(options6.size());
-      for (const Side& c6 : options6) unions6.push_back(domains_of(c6.items));
-      std::vector<std::vector<const DomainSet*>> ptrs6;
+      for (const Side& c6 : options6) unions6.push_back(domains_of(c6));
+      std::vector<std::vector<EstimatorSet>> sets6;
       if (config_.estimator != nullptr) {
-        ptrs6.reserve(options6.size());
-        for (const Side& c6 : options6) ptrs6.push_back(domain_pointers(c6.items));
+        sets6.reserve(options6.size());
+        for (const Side& c6 : options6) sets6.push_back(estimator_sets(c6));
       }
 
       const Side* best4 = nullptr;
@@ -115,10 +131,9 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
       double best_value = 0.0;
       unsigned best_depth = 0;
       for (const Side& c4 : options4) {
-        const DomainSet cd4 = domains_of(c4.items);
-        const std::vector<const DomainSet*> ptrs4 =
-            config_.estimator != nullptr ? domain_pointers(c4.items)
-                                         : std::vector<const DomainSet*>{};
+        const DomainSet cd4 = domains_of(c4);
+        const std::vector<EstimatorSet> sets4 =
+            config_.estimator != nullptr ? estimator_sets(c4) : std::vector<EstimatorSet>{};
         for (std::size_t j = 0; j < options6.size(); ++j) {
           const Side& c6 = options6[j];
           if (c4.prefix == task.v4.prefix && c6.prefix == task.v6.prefix) continue;
@@ -129,7 +144,7 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
           // still below the margin, so the first combinations always get
           // the exact evaluation).
           if (config_.estimator != nullptr &&
-              config_.estimator->estimate_union_jaccard(ptrs4, ptrs6[j]) +
+              config_.estimator->estimate_union_jaccard(sets4, sets6[j]) +
                       config_.estimator_margin <
                   best_value) {
             continue;
@@ -156,25 +171,28 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
       const auto queue_branch = [&](const Side& parent, const Side& chosen,
                                     const Side& counterpart, bool branch_is_v4) {
         if (chosen.prefix == parent.prefix) return;
+        const DualStackCorpus::HostTable& parent_hosts = corpus_->hosts(parent.prefix.family());
         Side lost{parent.prefix, {}};
-        for (const Item& item : parent.items) {
-          if (!chosen.prefix.contains(item.host)) lost.items.push_back(item);
+        for (const std::uint32_t row : parent.rows) {
+          if (!chosen.prefix.contains(parent_hosts.addresses[row])) lost.rows.push_back(row);
         }
-        if (lost.items.empty()) return;
+        if (lost.rows.empty()) return;
         // Narrow the lost side to the sibling child covering its hosts.
         const Prefix sibling = chosen.prefix ==
                                        parent.prefix.child(0)
                                    ? parent.prefix.child(1)
                                    : parent.prefix.child(0);
         lost.prefix = sibling;
-        const DomainSet lost_domains = domains_of(lost.items);
+        const DomainSet lost_domains = domains_of(lost);
+        const DualStackCorpus::HostTable& counterpart_hosts =
+            corpus_->hosts(counterpart.prefix.family());
         Side other{counterpart.prefix, {}};
-        for (const Item& item : counterpart.items) {
-          if (intersection_size(*item.domains, lost_domains) > 0) {
-            other.items.push_back(item);
+        for (const std::uint32_t row : counterpart.rows) {
+          if (intersection_size(counterpart_hosts.domains_of(row), lost_domains) > 0) {
+            other.rows.push_back(row);
           }
         }
-        if (other.items.empty()) return;
+        if (other.rows.empty()) return;
         work.push_back(branch_is_v4 ? Task{std::move(lost), std::move(other)}
                                     : Task{std::move(other), std::move(lost)});
       };
@@ -186,8 +204,8 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
       current = best_value;
     }
 
-    d4 = domains_of(task.v4.items);
-    d6 = domains_of(task.v6.items);
+    d4 = domains_of(task.v4);
+    d6 = domains_of(task.v6);
     results.push_back(make_pair(task.v4.prefix, task.v6.prefix, d4, d6));
   }
 
@@ -197,59 +215,29 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
 }
 
 SpTunerResult SpTunerMs::tune_all(std::span<const SiblingPair> pairs) const {
-  SpTunerResult result;
-  result.input_count = pairs.size();
-  for (const SiblingPair& pair : pairs) {
-    const auto tuned = tune_pair(pair);
-    const bool unchanged =
-        tuned.size() == 1 && tuned.front().v4 == pair.v4 && tuned.front().v6 == pair.v6;
-    if (!unchanged) ++result.changed_count;
-    result.pairs.insert(result.pairs.end(), tuned.begin(), tuned.end());
-  }
-  std::sort(result.pairs.begin(), result.pairs.end());
-  result.pairs.erase(std::unique(result.pairs.begin(), result.pairs.end()),
-                     result.pairs.end());
-  return result;
+  std::vector<std::vector<SiblingPair>> outputs;
+  outputs.reserve(pairs.size());
+  for (const SiblingPair& pair : pairs) outputs.push_back(tune_pair(pair));
+  return merge_outputs(pairs, outputs);
 }
 
 SpTunerResult SpTunerMs::tune_all_parallel(std::span<const SiblingPair> pairs,
                                            unsigned thread_count) const {
-  if (thread_count == 0) thread_count = std::max(1u, std::thread::hardware_concurrency());
-  thread_count = std::min<unsigned>(thread_count, 64);
-
   // Each pair is tuned independently; workers pull indexes from a shared
   // counter and write into per-pair slots, so no locking is needed beyond
   // the counter and the merge below is deterministic.
   std::vector<std::vector<SiblingPair>> outputs(pairs.size());
   std::atomic<std::size_t> next{0};
-  {
-    std::vector<std::jthread> workers;
-    workers.reserve(thread_count);
-    for (unsigned t = 0; t < thread_count; ++t) {
-      workers.emplace_back([this, pairs, &outputs, &next] {
-        for (;;) {
-          // sp-lint: atomics-ok(work-stealing index cursor; claims need
-          // no ordering, only uniqueness — the pool join publishes results)
-          const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-          if (index >= pairs.size()) return;
-          outputs[index] = tune_pair(pairs[index]);
-        }
-      });
+  WorkerPool(thread_count).run([&](unsigned) {
+    for (;;) {
+      // sp-lint: atomics-ok(work-stealing index cursor; claims need
+      // no ordering, only uniqueness — the pool join publishes results)
+      const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
+      if (index >= pairs.size()) return;
+      outputs[index] = tune_pair(pairs[index]);
     }
-  }
-
-  SpTunerResult result;
-  result.input_count = pairs.size();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const bool unchanged = outputs[i].size() == 1 && outputs[i].front().v4 == pairs[i].v4 &&
-                           outputs[i].front().v6 == pairs[i].v6;
-    if (!unchanged) ++result.changed_count;
-    result.pairs.insert(result.pairs.end(), outputs[i].begin(), outputs[i].end());
-  }
-  std::sort(result.pairs.begin(), result.pairs.end());
-  result.pairs.erase(std::unique(result.pairs.begin(), result.pairs.end()),
-                     result.pairs.end());
-  return result;
+  });
+  return merge_outputs(pairs, outputs);
 }
 
 SpTunerLs::SpTunerLs(const DualStackCorpus& corpus, const bgp::Rib& rib,
@@ -291,7 +279,7 @@ SiblingPair SpTunerLs::tune_pair(const SiblingPair& pair) const {
 
   for (const Prefix& p4 : candidates(pair.v4, config_.v4_levels_up, origin4)) {
     const DomainSet d4 = corpus_->domains_within(p4);
-    const DomainSet* d4_ptr[] = {&d4};
+    const EstimatorSet d4_sets[] = {{d4}};
     for (std::size_t j = 0; j < options6.size(); ++j) {
       const Prefix& p6 = options6[j];
       if (p4 == pair.v4 && p6 == pair.v6) continue;
@@ -299,8 +287,8 @@ SiblingPair SpTunerLs::tune_pair(const SiblingPair& pair) const {
       // Same conservative filter as SP-Tuner-MS: skip the exact pass only
       // when even estimate + margin cannot beat the incumbent.
       if (config_.estimator != nullptr) {
-        const DomainSet* d6_ptr[] = {&d6};
-        if (config_.estimator->estimate_union_jaccard(d4_ptr, d6_ptr) +
+        const EstimatorSet d6_sets[] = {{d6}};
+        if (config_.estimator->estimate_union_jaccard(d4_sets, d6_sets) +
                 config_.estimator_margin <
             best.similarity) {
           continue;
@@ -314,17 +302,10 @@ SiblingPair SpTunerLs::tune_pair(const SiblingPair& pair) const {
 }
 
 SpTunerResult SpTunerLs::tune_all(std::span<const SiblingPair> pairs) const {
-  SpTunerResult result;
-  result.input_count = pairs.size();
-  for (const SiblingPair& pair : pairs) {
-    const SiblingPair tuned = tune_pair(pair);
-    if (tuned.v4 != pair.v4 || tuned.v6 != pair.v6) ++result.changed_count;
-    result.pairs.push_back(tuned);
-  }
-  std::sort(result.pairs.begin(), result.pairs.end());
-  result.pairs.erase(std::unique(result.pairs.begin(), result.pairs.end()),
-                     result.pairs.end());
-  return result;
+  std::vector<std::vector<SiblingPair>> outputs;
+  outputs.reserve(pairs.size());
+  for (const SiblingPair& pair : pairs) outputs.push_back({tune_pair(pair)});
+  return merge_outputs(pairs, outputs);
 }
 
 }  // namespace sp::core

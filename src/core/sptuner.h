@@ -67,27 +67,24 @@ class SpTunerMs {
                                                 unsigned thread_count = 0) const;
 
  private:
-  struct Item {
-    Prefix host;
-    const DomainSet* domains;
-  };
+  /// One side of a candidate pair: a prefix and the populated host rows
+  /// (of corpus_->hosts(prefix.family()), ascending) it currently holds.
   struct Side {
     Prefix prefix;
-    std::vector<Item> items;
+    std::vector<std::uint32_t> rows;
   };
   struct Task {
     Side v4;
     Side v6;
   };
 
-  [[nodiscard]] static DomainSet domains_of(std::span<const Item> items);
-  /// The items' set pointers, in item order — the estimator input (the
-  /// pointers are corpus-owned host sets, so estimator caches stay valid).
-  [[nodiscard]] static std::vector<const DomainSet*> domain_pointers(
-      std::span<const Item> items);
+  /// Union of the side's host domain sets.
+  [[nodiscard]] DomainSet domains_of(const Side& side) const;
+  /// The side's host sets as estimator input, keyed by their stable rows.
+  [[nodiscard]] std::vector<EstimatorSet> estimator_sets(const Side& side) const;
   [[nodiscard]] bool can_descend(const Side& side, unsigned threshold) const;
-  /// Child sides with non-empty item partitions (0, 1 or 2 entries).
-  [[nodiscard]] static std::vector<Side> children_of(const Side& side);
+  /// Child sides with non-empty row partitions (0, 1 or 2 entries).
+  [[nodiscard]] std::vector<Side> children_of(const Side& side) const;
 
   const DualStackCorpus* corpus_;
   SpTunerConfig config_;

@@ -10,6 +10,12 @@ namespace sp::core {
 
 namespace {
 constexpr const char* kMutexName = "core.worker_pool.mutex";
+
+std::uint64_t micros(std::chrono::steady_clock::duration elapsed) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count());
+}
+
 }  // namespace
 
 WorkerPool::WorkerPool(unsigned thread_count)
@@ -54,9 +60,10 @@ void WorkerPool::worker_loop(unsigned worker_id) {
     if (generation_ != seen) {
       seen = generation_;
       const std::function<void(unsigned)>* job = job_;
+      const auto dispatched = dispatched_;
       held.reset();
       lock.unlock();
-      (*job)(worker_id);
+      run_job(*job, worker_id, dispatched);
       lock.lock();
       held.emplace(kMutexName);
       if (--running_ == 0) done_cv_.notify_all();
@@ -81,19 +88,21 @@ void WorkerPool::worker_loop(unsigned worker_id) {
 }
 
 void WorkerPool::run(const std::function<void(unsigned)>& job) {
+  const auto dispatched = std::chrono::steady_clock::now();
   if (workers_.empty()) {
-    job(0);
+    run_job(job, 0, dispatched);
     return;
   }
   {
     std::lock_guard lock(mutex_);
     [[maybe_unused]] const lint::LockOrderScope held(kMutexName);
     job_ = &job;
+    dispatched_ = dispatched;
     ++generation_;
     running_ = static_cast<unsigned>(workers_.size());
   }
   work_cv_.notify_all();
-  job(0);
+  run_job(job, 0, dispatched);
   std::unique_lock lock(mutex_);
   [[maybe_unused]] const lint::LockOrderScope held(kMutexName);
   done_cv_.wait(lock, [&] { return running_ == 0; });
@@ -103,13 +112,17 @@ void WorkerPool::run_task(std::function<void()>& task,
                           std::chrono::steady_clock::time_point enqueued) {
   const auto dequeued = std::chrono::steady_clock::now();
   queue_depth_.sub();
-  task_wait_us_.record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(dequeued - enqueued).count()));
+  task_wait_us_.record(micros(dequeued - enqueued));
   task();
-  task_run_us_.record(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - dequeued)
-          .count()));
+  task_run_us_.record(micros(std::chrono::steady_clock::now() - dequeued));
+}
+
+void WorkerPool::run_job(const std::function<void(unsigned)>& job, unsigned worker_id,
+                         std::chrono::steady_clock::time_point dispatched) {
+  const auto started = std::chrono::steady_clock::now();
+  task_wait_us_.record(micros(started - dispatched));
+  job(worker_id);
+  task_run_us_.record(micros(std::chrono::steady_clock::now() - started));
 }
 
 void WorkerPool::submit(std::function<void()> task) {

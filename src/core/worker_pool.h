@@ -84,6 +84,10 @@ class WorkerPool {
   void worker_loop(unsigned worker_id);
   void run_task(std::function<void()>& task,
                 std::chrono::steady_clock::time_point enqueued);
+  /// One worker's turn of a fork-join job, recorded in the same wait/run
+  /// histograms as a task (wait measured from the run() dispatch).
+  void run_job(const std::function<void(unsigned)>& job, unsigned worker_id,
+               std::chrono::steady_clock::time_point dispatched);
 
   unsigned thread_count_;
 
@@ -95,6 +99,7 @@ class WorkerPool {
   std::condition_variable done_cv_;
   std::condition_variable idle_cv_;
   const std::function<void(unsigned)>* job_ = nullptr;
+  std::chrono::steady_clock::time_point dispatched_;  // when job_ was posted
   std::uint64_t generation_ = 0;
   unsigned running_ = 0;
   std::deque<QueuedTask> tasks_;
@@ -105,8 +110,8 @@ class WorkerPool {
   // Process-wide observability (obs::MetricsRegistry::global()): every
   // pool shares one set of metrics — the fleet view, not per-instance.
   obs::Gauge queue_depth_;        // worker_pool.queue_depth
-  obs::Histogram task_wait_us_;   // enqueue → dequeue
-  obs::Histogram task_run_us_;    // dequeue → completion
+  obs::Histogram task_wait_us_;   // enqueue (or run() dispatch) → start
+  obs::Histogram task_run_us_;    // start → completion, per task or per worker turn
 };
 
 }  // namespace sp::core

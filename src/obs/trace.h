@@ -103,6 +103,14 @@ class ScopedSpan {
       start_ = std::chrono::steady_clock::now();
     }
   }
+
+  /// The span `name` + decimal `index` (e.g. one per shard: "detect.v4.shard"
+  /// and worker 3 record "detect.v4.shard3"). The name is formatted only
+  /// when a recorder is live, so an untraced call allocates nothing.
+  ScopedSpan(std::string_view name, std::size_t index, std::string_view category)
+      : ScopedSpan(name, category) {
+    if (recorder_ != nullptr) name_ += std::to_string(index);
+  }
   ~ScopedSpan() {
     if (recorder_ != nullptr) {
       recorder_->span(name_, category_, start_, std::chrono::steady_clock::now());

@@ -135,11 +135,16 @@ void StageGraph::execute(StageId id) {
     return;
   }
   const auto start = std::chrono::steady_clock::now();
-  // One trace span per stage execution, on the worker thread that ran it —
-  // the Perfetto view of the DAG schedule (cached stages are near-zero
-  // slivers, the evolve chain is the critical path).
-  const obs::ScopedSpan span(stages_[id].name, "stage");
-  const StageOutcome outcome = stages_[id].fn ? stages_[id].fn() : StageOutcome::success();
+  StageOutcome outcome = StageOutcome::success();
+  {
+    // One trace span per stage execution, on the worker thread that ran it —
+    // the Perfetto view of the DAG schedule (cached stages are near-zero
+    // slivers, the evolve chain is the critical path). It covers the body
+    // only: finalize() below may run dependents inline (1-thread pool),
+    // and those must not nest inside this stage's span.
+    const obs::ScopedSpan span(stages_[id].name, "stage");
+    if (stages_[id].fn) outcome = stages_[id].fn();
+  }
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
           .count();

@@ -88,8 +88,7 @@ std::vector<std::optional<SiblingAnswer>> LookupEngine::query_many(
   } else {
     std::atomic<std::size_t> next{0};
     pool->run([&](unsigned worker) {
-      const obs::ScopedSpan shard_span("serve.batch.shard" + std::to_string(worker),
-                                       "serve");
+      const obs::ScopedSpan shard_span("serve.batch.shard", worker, "serve");
       for (;;) {
         // sp-lint: atomics-ok(work-stealing chunk cursor; claims need no
         // ordering, only uniqueness — the pool join publishes results)

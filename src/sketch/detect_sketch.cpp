@@ -64,10 +64,9 @@ void SketchDetector::detect_direction(const core::DetectIndex& index,
   }
   std::atomic<std::size_t> next{0};
 
-  const char* direction = from == Family::v4 ? "sketch.v4" : "sketch.v6";
+  const char* shard_name = from == Family::v4 ? "sketch.v4.shard" : "sketch.v6.shard";
   const std::function<void(unsigned)> job = [&](unsigned worker) {
-    const obs::ScopedSpan span(std::string(direction) + ".shard" + std::to_string(worker),
-                               "sketch");
+    const obs::ScopedSpan span(shard_name, worker, "sketch");
     Local& local = locals[worker];
     for (;;) {
       // sp-lint: atomics-ok(work-stealing chunk cursor; claims need no

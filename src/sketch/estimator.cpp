@@ -9,7 +9,8 @@ namespace sp::sketch {
 namespace {
 
 /// Bottom-k of one set's element hashes: sorted distinct, ≤ k entries.
-std::vector<std::uint64_t> bottom_k(const core::DomainSet& set, const SketchParams& params) {
+std::vector<std::uint64_t> bottom_k(std::span<const core::DomainId> set,
+                                    const SketchParams& params) {
   std::vector<std::uint64_t> hashes;
   hashes.reserve(set.size());
   for (const core::DomainId element : set) {
@@ -27,28 +28,25 @@ std::vector<std::uint64_t> bottom_k(const core::DomainSet& set, const SketchPara
 
 SketchEstimator::SketchEstimator(const core::DualStackCorpus& corpus, SketchParams params)
     : params_(params) {
-  // Register every populated host set of both families: these are the set
-  // addresses SP-Tuner-MS items point at, so its estimates are all cache
-  // hits. Insertion happens only here; the map is read-only afterwards,
-  // which is what makes estimate_union_jaccard safe to share across the
-  // tuner's threads without a lock.
+  // Sign every host row of both families: these are the rows SP-Tuner-MS
+  // sides hold, so its estimates are all cache hits. The signatures are
+  // written only here and read-only afterwards, which is what makes
+  // estimate_union_jaccard safe to share across the tuner's threads
+  // without a lock.
   for (const Family family : {Family::v4, Family::v6}) {
-    for (const auto& [prefix, domains] : corpus.prefix_domains(family)) {
-      for (const auto& host : corpus.hosts_of(prefix)) {
-        cache_set(host.domains);
-      }
+    const core::DualStackCorpus::HostTable& hosts = corpus.hosts(family);
+    RowSignatures& cache = family == Family::v4 ? v4_ : v6_;
+    cache.offsets.reserve(hosts.size() + 1);
+    for (std::uint32_t row = 0; row < hosts.size(); ++row) {
+      const auto hashes = bottom_k(hosts.domains_of(row), params_);
+      cache.hashes.insert(cache.hashes.end(), hashes.begin(), hashes.end());
+      cache.offsets.push_back(static_cast<std::uint32_t>(cache.hashes.size()));
     }
   }
 }
 
-void SketchEstimator::cache_set(const core::DomainSet& set) {
-  CachedSignature& cached = cache_[&set];
-  cached.hashes = bottom_k(set, params_);
-  cached.set_size = static_cast<std::uint32_t>(set.size());
-}
-
 SketchEstimator::UnionSketch SketchEstimator::sketch_union(
-    std::span<const core::DomainSet* const> sets) const {
+    const RowSignatures& cache, std::span<const core::EstimatorSet> sets) const {
   UnionSketch result;
   // Gather every member's signature (cached or computed), then keep the k
   // smallest distinct union hashes. The union signature is complete —
@@ -56,14 +54,13 @@ SketchEstimator::UnionSketch SketchEstimator::sketch_union(
   // nothing was truncated.
   bool members_complete = true;
   std::vector<std::uint64_t> merged;
-  for (const core::DomainSet* set : sets) {
-    const auto it = cache_.find(set);
-    if (it != cache_.end()) {
-      merged.insert(merged.end(), it->second.hashes.begin(), it->second.hashes.end());
-      if (it->second.set_size > params_.k) members_complete = false;
+  for (const core::EstimatorSet& set : sets) {
+    if (set.domains.size() > params_.k) members_complete = false;
+    if (set.row < cache.row_count()) {
+      merged.insert(merged.end(), cache.hashes.begin() + cache.offsets[set.row],
+                    cache.hashes.begin() + cache.offsets[set.row + 1]);
     } else {
-      const auto hashes = bottom_k(*set, params_);
-      if (set->size() > params_.k) members_complete = false;
+      const auto hashes = bottom_k(set.domains, params_);
       merged.insert(merged.end(), hashes.begin(), hashes.end());
     }
   }
@@ -75,11 +72,10 @@ SketchEstimator::UnionSketch SketchEstimator::sketch_union(
   return result;
 }
 
-double SketchEstimator::estimate_union_jaccard(
-    std::span<const core::DomainSet* const> a,
-    std::span<const core::DomainSet* const> b) const {
-  const UnionSketch sa = sketch_union(a);
-  const UnionSketch sb = sketch_union(b);
+double SketchEstimator::estimate_union_jaccard(std::span<const core::EstimatorSet> v4,
+                                               std::span<const core::EstimatorSet> v6) const {
+  const UnionSketch sa = sketch_union(v4_, v4);
+  const UnionSketch sb = sketch_union(v6_, v6);
   // estimate_jaccard switches to the exact full-merge mode when both
   // views are complete; set_size only feeds that check, so a complete
   // union reports its hash count and an incomplete one anything > k.

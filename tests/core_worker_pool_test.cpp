@@ -130,6 +130,26 @@ TEST(WorkerPoolTask, QueueDepthGaugeBalancesUnderConcurrency) {
   EXPECT_GE(waits.count, 1600u);
 }
 
+// A fork-join run() records one wait and one run sample per worker — the
+// detection and batch-lookup paths show up in the histograms too.
+TEST(WorkerPoolTask, ForkJoinRecordsOneSamplePerWorker) {
+  auto& registry = obs::MetricsRegistry::global();
+  const auto count = [&registry](const char* name) {
+    return obs::HistogramSnapshot::of(registry.histogram(name)).count;
+  };
+  const std::uint64_t runs_before = count("worker_pool.task_run_us");
+  const std::uint64_t waits_before = count("worker_pool.task_wait_us");
+  {
+    WorkerPool pool(3);
+    pool.run([](unsigned) {});
+    pool.run([](unsigned) {});
+    WorkerPool serial(1);
+    serial.run([](unsigned) {});
+  }
+  EXPECT_EQ(count("worker_pool.task_run_us") - runs_before, 7u);
+  EXPECT_EQ(count("worker_pool.task_wait_us") - waits_before, 7u);
+}
+
 // Many producers hammering submit() from outside the pool while the pool
 // also serves fork-join jobs — the TSan target for the shared-pool design.
 TEST(WorkerPoolTask, ConcurrentProducersStress) {

@@ -95,6 +95,19 @@ TEST(ObsTrace, ScopedSpanRecordsOnlyWhileActive) {
   EXPECT_EQ(TraceRecorder::active(), nullptr);
 }
 
+TEST(ObsTrace, IndexedScopedSpanAppendsTheIndex) {
+  TraceRecorder recorder;
+  { const ScopedSpan ignored("shard", 1, "test"); }  // no active recorder
+  TraceRecorder::set_active(&recorder);
+  { const ScopedSpan recorded("detect.v4.shard", 12, "test"); }
+  TraceRecorder::set_active(nullptr);
+
+  const auto events = recorder.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "detect.v4.shard12");
+  EXPECT_EQ(events[0].category, "test");
+}
+
 // TSan target: spans landing from many threads while another thread
 // serializes the partial trace.
 TEST(ObsTraceConcurrency, ConcurrentSpansAndSerialization) {

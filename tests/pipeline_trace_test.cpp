@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/sibling_list_io.h"
 #include "obs/trace.h"
@@ -50,6 +51,40 @@ TEST(PipelineTrace, CampaignTraceRecordsInnerPhaseSpans) {
     EXPECT_NE(trace.find(name), std::string::npos) << name;
   }
   EXPECT_NE(trace.find("\"phase\""), std::string::npos);
+}
+
+// On a 1-thread pool every stage runs inline on the calling thread, and a
+// finished stage dispatches its dependents from inside execute(). A stage
+// span must cover its own body only, so no stage span contains another.
+TEST(PipelineTrace, SerialStageSpansDoNotNest) {
+  const std::string dir = ::testing::TempDir() + "/trace_serial";
+  std::filesystem::remove_all(dir);
+  CampaignConfig config;
+  config.synth.months = 3;
+  config.synth.organization_count = 40;
+  config.synth.probe_count = 40;
+  config.threads = 1;
+  config.out_dir = dir;
+
+  obs::TraceRecorder recorder;
+  obs::TraceRecorder::set_active(&recorder);
+  const auto report = Campaign(config).run(/*resume=*/false);
+  obs::TraceRecorder::set_active(nullptr);
+  ASSERT_TRUE(report.error.empty()) << report.error;
+
+  std::vector<obs::TraceEvent> stages;
+  for (const obs::TraceEvent& event : recorder.events()) {
+    if (event.category == "stage") stages.push_back(event);
+  }
+  ASSERT_GT(stages.size(), 3u);
+  for (const obs::TraceEvent& outer : stages) {
+    for (const obs::TraceEvent& inner : stages) {
+      if (&outer == &inner) continue;
+      const bool contains = outer.ts_us < inner.ts_us &&
+                            inner.ts_us + inner.dur_us < outer.ts_us + outer.dur_us;
+      EXPECT_FALSE(contains) << outer.name << " contains " << inner.name;
+    }
+  }
 }
 
 TEST(PipelineTrace, SibdbConversionEmitsServeSpans) {

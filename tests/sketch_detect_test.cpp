@@ -12,8 +12,10 @@
 
 #include <bit>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/detect.h"
@@ -243,52 +245,61 @@ TEST(SketchEstimator, ExactOnCorpusHostSets) {
   const SketchEstimator estimator(corpus);
   EXPECT_GT(estimator.cached_signatures(), 0u);
 
-  // Single-set estimates between cached host sets: exact whenever both
-  // sets fit in k, within the margin always.
-  std::size_t checked = 0;
-  std::vector<const core::DomainSet*> hosts;
-  for (const Family family : {Family::v4, Family::v6}) {
-    for (const auto& [prefix, domains] : corpus.prefix_domains(family)) {
-      for (const auto& host : corpus.hosts_of(prefix)) hosts.push_back(&host.domains);
-    }
+  // Single-set estimates between cached host rows — each v4 host against
+  // a v6 host serving its first domain: exact whenever both sets fit in k,
+  // within the margin always.
+  const auto& hosts4 = corpus.hosts(Family::v4);
+  const auto& hosts6 = corpus.hosts(Family::v6);
+  std::unordered_map<core::DomainId, std::uint32_t> v6_row_of;
+  for (std::uint32_t row = 0; row < hosts6.size(); ++row) {
+    for (const core::DomainId id : hosts6.domains_of(row)) v6_row_of.try_emplace(id, row);
   }
-  ASSERT_GT(hosts.size(), 1u);
-  for (std::size_t i = 0; i + 1 < hosts.size() && checked < 200; i += 3, ++checked) {
-    const core::DomainSet* a[] = {hosts[i]};
-    const core::DomainSet* b[] = {hosts[i + 1]};
+  std::size_t checked = 0;
+  for (std::uint32_t row4 = 0; row4 < hosts4.size() && checked < 200; row4 += 3) {
+    const auto it = v6_row_of.find(hosts4.domains_of(row4).front());
+    if (it == v6_row_of.end()) continue;
+    const std::uint32_t row6 = it->second;
+    const core::EstimatorSet a[] = {{hosts4.domains_of(row4), row4}};
+    const core::EstimatorSet b[] = {{hosts6.domains_of(row6), row6}};
     const double est = estimator.estimate_union_jaccard(a, b);
-    const double exact = core::jaccard(*hosts[i], *hosts[i + 1]);
-    if (hosts[i]->size() <= estimator.params().k && hosts[i + 1]->size() <= estimator.params().k) {
+    const core::DomainSet d4(a[0].domains.begin(), a[0].domains.end());
+    const core::DomainSet d6(b[0].domains.begin(), b[0].domains.end());
+    const double exact = core::jaccard(d4, d6);
+    EXPECT_GT(exact, 0.0);
+    if (d4.size() <= estimator.params().k && d6.size() <= estimator.params().k) {
       EXPECT_DOUBLE_EQ(est, exact);
     } else {
       EXPECT_NEAR(est, exact, estimator.params().margin);
     }
+    ++checked;
   }
   EXPECT_GT(checked, 0u);
 }
 
 TEST(SketchEstimator, UnionEstimatesMatchUncachedSets) {
-  // The same contents through the cache (corpus-owned sets) and the
-  // on-the-fly path (local copies at different addresses) must estimate
-  // identically: signatures are functions of contents, not addresses.
+  // The same contents through the cache (corpus host rows) and the
+  // on-the-fly path (local copies without a row) must estimate
+  // identically: signatures are functions of contents, not of rows.
   const synth::SyntheticInternet universe(small_config());
   const auto snapshot = universe.snapshot_at(universe.month_count() - 1);
   const auto corpus = core::DualStackCorpus::build(snapshot, universe.rib());
   const SketchEstimator estimator(corpus);
 
-  std::vector<const core::DomainSet*> cached;
-  for (const auto& [prefix, domains] : corpus.prefix_domains(Family::v4)) {
-    for (const auto& host : corpus.hosts_of(prefix)) cached.push_back(&host.domains);
-    if (cached.size() >= 4) break;
-  }
-  ASSERT_GE(cached.size(), 4u);
-  const std::vector<core::DomainSet> copies = {*cached[0], *cached[1], *cached[2], *cached[3]};
-  const core::DomainSet* copy_ptrs[] = {&copies[0], &copies[1], &copies[2], &copies[3]};
+  const auto& hosts4 = corpus.hosts(Family::v4);
+  const auto& hosts6 = corpus.hosts(Family::v6);
+  ASSERT_GE(hosts4.size(), 2u);
+  ASSERT_GE(hosts6.size(), 2u);
+  const auto copy = [](std::span<const core::DomainId> set) {
+    return core::DomainSet(set.begin(), set.end());
+  };
+  const std::vector<core::DomainSet> copies = {
+      copy(hosts4.domains_of(0)), copy(hosts4.domains_of(1)), copy(hosts6.domains_of(0)),
+      copy(hosts6.domains_of(1))};
 
-  const core::DomainSet* a_cached[] = {cached[0], cached[1]};
-  const core::DomainSet* b_cached[] = {cached[2], cached[3]};
-  const core::DomainSet* a_fly[] = {copy_ptrs[0], copy_ptrs[1]};
-  const core::DomainSet* b_fly[] = {copy_ptrs[2], copy_ptrs[3]};
+  const core::EstimatorSet a_cached[] = {{hosts4.domains_of(0), 0}, {hosts4.domains_of(1), 1}};
+  const core::EstimatorSet b_cached[] = {{hosts6.domains_of(0), 0}, {hosts6.domains_of(1), 1}};
+  const core::EstimatorSet a_fly[] = {{copies[0]}, {copies[1]}};
+  const core::EstimatorSet b_fly[] = {{copies[2]}, {copies[3]}};
   EXPECT_EQ(std::bit_cast<std::uint64_t>(estimator.estimate_union_jaccard(a_cached, b_cached)),
             std::bit_cast<std::uint64_t>(estimator.estimate_union_jaccard(a_fly, b_fly)));
 }
