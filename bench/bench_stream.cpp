@@ -111,7 +111,7 @@ BENCHMARK(BM_DetectScratch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 void BM_StreamInit(benchmark::State& state) {
   const Months& fixture = months();
   stream::StreamDetector detector(
-      {.threads = static_cast<unsigned>(state.range(0))});
+      {.threads = static_cast<unsigned>(state.range(0)), .sketch = {}});
   for (auto _ : state) {
     detector.init(fixture.month1);
     benchmark::DoNotOptimize(detector.pairs().size());
@@ -127,7 +127,7 @@ BENCHMARK(BM_StreamInit)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 void BM_StreamApplyLowChurn(benchmark::State& state) {
   const Months& fixture = months();
   stream::StreamDetector detector(
-      {.threads = static_cast<unsigned>(state.range(0))});
+      {.threads = static_cast<unsigned>(state.range(0)), .sketch = {}});
   detector.init(fixture.month1);
   std::size_t dirty = 0;
   for (auto _ : state) {
@@ -152,7 +152,7 @@ BENCHMARK(BM_StreamApplyLowChurn)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
 void BM_StreamApplyMonthDelta(benchmark::State& state) {
   const Months& fixture = months();
   stream::StreamDetector detector(
-      {.threads = static_cast<unsigned>(state.range(0))});
+      {.threads = static_cast<unsigned>(state.range(0)), .sketch = {}});
   detector.init(fixture.month0);
   bool forward = true;
   std::size_t edges = 0;

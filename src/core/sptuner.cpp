@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 
 #include "core/worker_pool.h"
+#include "obs/metrics.h"
 
 namespace sp::core {
 
@@ -42,6 +44,26 @@ SpTunerResult merge_outputs(std::span<const SiblingPair> pairs,
   return result;
 }
 
+/// Registry updates once per tune_all run, never per pair: aggregate
+/// counts and one whole-run latency sample. The handles are registered on
+/// first use.
+void record_run(const SpTunerResult& result, std::chrono::steady_clock::time_point start) {
+  struct Metrics {
+    obs::Counter runs = obs::MetricsRegistry::global().counter("sptuner.runs");
+    obs::Counter pairs_tuned = obs::MetricsRegistry::global().counter("sptuner.pairs_tuned");
+    obs::Counter refine_steps = obs::MetricsRegistry::global().counter("sptuner.refine_steps");
+    obs::Histogram run_us = obs::MetricsRegistry::global().histogram("sptuner.run_us");
+  };
+  static const Metrics metrics;
+  metrics.runs.add();
+  metrics.pairs_tuned.add(static_cast<std::int64_t>(result.input_count));
+  metrics.refine_steps.add(static_cast<std::int64_t>(result.refine_steps));
+  metrics.run_us.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(std::chrono::steady_clock::now() -
+                                                            start)
+          .count()));
+}
+
 }  // namespace
 
 SpTunerMs::SpTunerMs(const DualStackCorpus& corpus, SpTunerConfig config)
@@ -70,6 +92,23 @@ bool SpTunerMs::can_descend(const Side& side, unsigned threshold) const {
   return side.prefix.length() < std::min(threshold, side.prefix.max_length());
 }
 
+unsigned SpTunerMs::split_length(const Side& side, unsigned threshold) const {
+  // Rows are address-ascending, so the first and last row share the
+  // longest prefix any two rows share.
+  const DualStackCorpus::HostTable& hosts = corpus_->hosts(side.prefix.family());
+  const IPAddress& first = hosts.addresses[side.rows.front()];
+  const IPAddress& last = hosts.addresses[side.rows.back()];
+  const unsigned limit = std::min(threshold, side.prefix.max_length());
+  unsigned length = side.prefix.length();
+  while (length < limit && first.bit(length) == last.bit(length)) ++length;
+  return length;
+}
+
+void SpTunerMs::descend_to(Side& side, unsigned length) const {
+  side.prefix = Prefix::of(corpus_->hosts(side.prefix.family()).addresses[side.rows.front()],
+                           length);
+}
+
 std::vector<SpTunerMs::Side> SpTunerMs::children_of(const Side& side) const {
   const DualStackCorpus::HostTable& hosts = corpus_->hosts(side.prefix.family());
   std::vector<Side> children;
@@ -84,6 +123,12 @@ std::vector<SpTunerMs::Side> SpTunerMs::children_of(const Side& side) const {
 }
 
 std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
+  std::size_t steps = 0;
+  return tune_pair(pair, steps);
+}
+
+std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair,
+                                              std::size_t& steps) const {
   std::vector<SiblingPair> results;
 
   std::vector<Task> work;
@@ -104,6 +149,29 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
       const bool descend4 = can_descend(task.v4, config_.v4_threshold);
       const bool descend6 = can_descend(task.v6, config_.v6_threshold);
       if (!descend4 && !descend6) break;
+      ++steps;
+
+      // A side runs while all its rows stay in one child; a side that can
+      // descend but does not run splits at the next level.
+      const unsigned length4 = task.v4.prefix.length();
+      const unsigned length6 = task.v6.prefix.length();
+      const unsigned reach4 = split_length(task.v4, config_.v4_threshold);
+      const unsigned reach6 = split_length(task.v6, config_.v6_threshold);
+      const bool runs4 = reach4 > length4;
+      const bool runs6 = reach6 > length6;
+      const bool splits4 = descend4 && !runs4;
+      const bool splits6 = descend6 && !runs6;
+      if (!splits4 && !splits6) {
+        // Neither side splits: every option holds the current domain sets,
+        // so all tie and the deepest wins. Each running side takes its only
+        // child, level after level, until the shorter run ends.
+        unsigned run = ~0u;
+        if (runs4) run = std::min(run, reach4 - length4);
+        if (runs6) run = std::min(run, reach6 - length6);
+        if (runs4) descend_to(task.v4, length4 + run);
+        if (runs6) descend_to(task.v6, length6 + run);
+        continue;
+      }
 
       // Candidate sides: keep the current prefix or take a populated child.
       std::vector<Side> options4{task.v4};
@@ -199,9 +267,17 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
       queue_branch(task.v4, *best4, task.v6, /*branch_is_v4=*/true);
       queue_branch(task.v6, *best6, task.v4, /*branch_is_v4=*/false);
 
+      const bool stayed4 = best4->prefix == task.v4.prefix;
+      const bool stayed6 = best6->prefix == task.v6.prefix;
       task.v4 = *best4;
       task.v6 = *best6;
       current = best_value;
+      // One side splits but stayed while the other took its only child:
+      // the next levels offer the splitting side the same options with the
+      // same domain sets, so it would stay at each of them again. Take the
+      // running side straight to the end of its run.
+      if (stayed4 && runs6) descend_to(task.v6, reach6);
+      if (stayed6 && runs4) descend_to(task.v4, reach4);
     }
 
     d4 = domains_of(task.v4);
@@ -215,10 +291,15 @@ std::vector<SiblingPair> SpTunerMs::tune_pair(const SiblingPair& pair) const {
 }
 
 SpTunerResult SpTunerMs::tune_all(std::span<const SiblingPair> pairs) const {
+  const auto start = std::chrono::steady_clock::now();
+  std::size_t steps = 0;
   std::vector<std::vector<SiblingPair>> outputs;
   outputs.reserve(pairs.size());
-  for (const SiblingPair& pair : pairs) outputs.push_back(tune_pair(pair));
-  return merge_outputs(pairs, outputs);
+  for (const SiblingPair& pair : pairs) outputs.push_back(tune_pair(pair, steps));
+  SpTunerResult result = merge_outputs(pairs, outputs);
+  result.refine_steps = steps;
+  record_run(result, start);
+  return result;
 }
 
 SpTunerResult SpTunerMs::tune_all_parallel(std::span<const SiblingPair> pairs,
@@ -226,18 +307,26 @@ SpTunerResult SpTunerMs::tune_all_parallel(std::span<const SiblingPair> pairs,
   // Each pair is tuned independently; workers pull indexes from a shared
   // counter and write into per-pair slots, so no locking is needed beyond
   // the counter and the merge below is deterministic.
+  const auto start = std::chrono::steady_clock::now();
   std::vector<std::vector<SiblingPair>> outputs(pairs.size());
+  WorkerPool pool(thread_count);
+  std::vector<std::size_t> steps(pool.thread_count(), 0);
   std::atomic<std::size_t> next{0};
-  WorkerPool(thread_count).run([&](unsigned) {
+  pool.run([&](unsigned worker) {
+    std::size_t worker_steps = 0;
     for (;;) {
       // sp-lint: atomics-ok(work-stealing index cursor; claims need
       // no ordering, only uniqueness — the pool join publishes results)
       const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= pairs.size()) return;
-      outputs[index] = tune_pair(pairs[index]);
+      if (index >= pairs.size()) break;
+      outputs[index] = tune_pair(pairs[index], worker_steps);
     }
+    steps[worker] = worker_steps;
   });
-  return merge_outputs(pairs, outputs);
+  SpTunerResult result = merge_outputs(pairs, outputs);
+  for (const std::size_t worker_steps : steps) result.refine_steps += worker_steps;
+  record_run(result, start);
+  return result;
 }
 
 SpTunerLs::SpTunerLs(const DualStackCorpus& corpus, const bgp::Rib& rib,
@@ -302,10 +391,13 @@ SiblingPair SpTunerLs::tune_pair(const SiblingPair& pair) const {
 }
 
 SpTunerResult SpTunerLs::tune_all(std::span<const SiblingPair> pairs) const {
+  const auto start = std::chrono::steady_clock::now();
   std::vector<std::vector<SiblingPair>> outputs;
   outputs.reserve(pairs.size());
   for (const SiblingPair& pair : pairs) outputs.push_back({tune_pair(pair)});
-  return merge_outputs(pairs, outputs);
+  SpTunerResult result = merge_outputs(pairs, outputs);
+  record_run(result, start);
+  return result;
 }
 
 }  // namespace sp::core

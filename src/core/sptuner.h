@@ -9,7 +9,10 @@
 // the branch *not* taken are never dropped: they are re-queued as new
 // candidate pairs together with the counterpart hosts serving the same
 // domains ("UpdateBranches" in the paper's pseudocode), so no domain is
-// lost by tuning.
+// lost by tuning. Levels where a side's hosts all fall into one child
+// cannot change the outcome, so the refinement jumps over them instead of
+// evaluating them one bit at a time (DESIGN.md, "SP-Tuner-MS level
+// jumps"); the output is that of the one-bit-per-step walk.
 //
 // SP-Tuner-LS (Algorithm 2) evaluates less-specific covering prefixes
 // instead, walking up a bounded number of levels and stopping early when
@@ -47,6 +50,10 @@ struct SpTunerResult {
   std::size_t input_count = 0;
   /// Input pairs whose tuned output differs from the input prefixes.
   std::size_t changed_count = 0;
+  /// SP-Tuner-MS refinement steps taken over all pairs: each evaluated
+  /// step and each jump over non-splitting levels counts once. SP-Tuner-LS
+  /// leaves it 0.
+  std::size_t refine_steps = 0;
 };
 
 class SpTunerMs {
@@ -78,11 +85,20 @@ class SpTunerMs {
     Side v6;
   };
 
+  /// tune_pair, adding the refinement steps taken to `steps`.
+  [[nodiscard]] std::vector<SiblingPair> tune_pair(const SiblingPair& pair,
+                                                   std::size_t& steps) const;
   /// Union of the side's host domain sets.
   [[nodiscard]] DomainSet domains_of(const Side& side) const;
   /// The side's host sets as estimator input, keyed by their stable rows.
   [[nodiscard]] std::vector<EstimatorSet> estimator_sets(const Side& side) const;
   [[nodiscard]] bool can_descend(const Side& side, unsigned threshold) const;
+  /// The deepest length (capped at the threshold) the side reaches with
+  /// all its rows inside one child: its current length when it splits at
+  /// the next level or cannot descend.
+  [[nodiscard]] unsigned split_length(const Side& side, unsigned threshold) const;
+  /// Moves the side down to `length` along its rows' common prefix.
+  void descend_to(Side& side, unsigned length) const;
   /// Child sides with non-empty row partitions (0, 1 or 2 entries).
   [[nodiscard]] std::vector<Side> children_of(const Side& side) const;
 

@@ -9,30 +9,19 @@
 #include <algorithm>
 #include <random>
 
-#include "test_fixtures.h"
+#include "obs/metrics.h"
+#include "sptuner_fixtures.h"
+#include "sptuner_reference.h"
 
 namespace sp::core {
 namespace {
 
+using testsupport::random_scenario;
 using testsupport::ScenarioBuilder;
+using testsupport::single_host_scenario;
+using testsupport::split_scenario;
 
 Prefix p(const char* text) { return Prefix::must_parse(text); }
-
-// An org announcing one v4 /24 whose two /25 halves host two distinct
-// service groups, matching two separate v6 /48s. Detection on announced
-// prefixes yields imperfect pairs; splitting the /24 yields two perfect
-// ones.
-ScenarioBuilder split_scenario() {
-  ScenarioBuilder builder;
-  builder.announce("20.1.1.0/24", 1).announce("2620:100::/48", 2).announce("2620:200::/48", 3);
-  // Group X in 20.1.1.0/25 ↔ 2620:100::/48.
-  builder.host("x1.example.org", {"20.1.1.1"}, {"2620:100::1"});
-  builder.host("x2.example.org", {"20.1.1.2"}, {"2620:100::2"});
-  // Group Y in 20.1.1.128/25 ↔ 2620:200::/48.
-  builder.host("y1.example.org", {"20.1.1.129"}, {"2620:200::1"});
-  builder.host("y2.example.org", {"20.1.1.130"}, {"2620:200::2"});
-  return builder;
-}
 
 TEST(SpTunerMs, SplitsMixedPrefixIntoPerfectPairs) {
   const auto corpus = split_scenario().corpus();
@@ -100,10 +89,7 @@ TEST(SpTunerMs, DescendsToThresholdOnPlateau) {
   // A single-domain pair stays at jaccard 1 all the way down, so tuning
   // must shrink it exactly to the thresholds (the paper's 86.95% of pairs
   // landing on /28-/96).
-  ScenarioBuilder builder;
-  builder.announce("20.1.1.0/24", 1).announce("2620:100::/48", 2);
-  builder.host("solo.example.org", {"20.1.1.77"}, {"2620:100::77"});
-  const auto corpus = builder.corpus();
+  const auto corpus = single_host_scenario("20.1.1.0/24", "2620:100::/48").corpus();
   const auto pairs = detect_sibling_prefixes(corpus);
   ASSERT_EQ(pairs.size(), 1u);
 
@@ -120,10 +106,7 @@ TEST(SpTunerMs, DescendsToThresholdOnPlateau) {
 }
 
 TEST(SpTunerMs, RoutableThresholdStopsAt24And48) {
-  ScenarioBuilder builder;
-  builder.announce("20.1.0.0/16", 1).announce("2620:100::/32", 2);
-  builder.host("solo.example.org", {"20.1.1.77"}, {"2620:100::77"});
-  const auto corpus = builder.corpus();
+  const auto corpus = single_host_scenario("20.1.0.0/16", "2620:100::/32").corpus();
   const auto pairs = detect_sibling_prefixes(corpus);
 
   const SpTunerMs tuner(corpus, {.v4_threshold = 24, .v6_threshold = 48});
@@ -134,10 +117,8 @@ TEST(SpTunerMs, RoutableThresholdStopsAt24And48) {
 }
 
 TEST(SpTunerMs, InputMoreSpecificThanThresholdIsKept) {
-  ScenarioBuilder builder;
-  builder.announce("20.1.1.0/30", 1).announce("2620:100::/112", 2);
-  builder.host("tiny.example.org", {"20.1.1.1"}, {"2620:100::1"});
-  const auto corpus = builder.corpus();
+  const auto corpus =
+      single_host_scenario("20.1.1.0/30", "2620:100::/112", "20.1.1.1", "2620:100::1").corpus();
   const auto pairs = detect_sibling_prefixes(corpus);
 
   const SpTunerMs tuner(corpus, {.v4_threshold = 28, .v6_threshold = 96});
@@ -149,10 +130,8 @@ TEST(SpTunerMs, InputMoreSpecificThanThresholdIsKept) {
 }
 
 TEST(SpTunerMs, TuneAllCountsChangedPairs) {
-  ScenarioBuilder builder;
-  builder.announce("20.1.1.0/28", 1).announce("2620:100::/96", 2);
-  builder.host("fixed.example.org", {"20.1.1.1"}, {"2620:100::1"});
-  const auto corpus = builder.corpus();
+  const auto corpus =
+      single_host_scenario("20.1.1.0/28", "2620:100::/96", "20.1.1.1", "2620:100::1").corpus();
   const auto pairs = detect_sibling_prefixes(corpus);
   const SpTunerMs tuner(corpus, {.v4_threshold = 28, .v6_threshold = 96});
   const auto result = tuner.tune_all(pairs);
@@ -160,6 +139,55 @@ TEST(SpTunerMs, TuneAllCountsChangedPairs) {
   EXPECT_EQ(result.changed_count, 0u);
   ASSERT_EQ(result.pairs.size(), 1u);
   EXPECT_EQ(result.pairs[0], pairs[0]);
+}
+
+TEST(SpTunerMs, SingleHostPairJumpsToThresholdsInTwoSteps) {
+  // One host under a /24 and a /44: the v4 side runs 4 levels and the v6
+  // side 52 before the thresholds, and no level splits either side. The
+  // refinement takes both runs as jumps instead of one step per level.
+  const auto corpus = single_host_scenario("20.1.1.0/24", "2620:100::/44").corpus();
+  const auto pairs = detect_sibling_prefixes(corpus);
+  ASSERT_EQ(pairs.size(), 1u);
+  const SpTunerConfig config{.v4_threshold = 28, .v6_threshold = 96};
+
+  const auto result = SpTunerMs(corpus, config).tune_all(pairs);
+  ASSERT_EQ(result.pairs.size(), 1u);
+  EXPECT_EQ(result.pairs[0].v4, p("20.1.1.64/28"));
+  EXPECT_EQ(result.pairs[0].v6, p("2620:100::/96"));
+  EXPECT_LE(result.refine_steps, 2u);
+  // The level-by-level walk evaluates every one of the 52 levels.
+  EXPECT_EQ(testsupport::ReferenceSpTunerMs(corpus, config).tune_all(pairs).refine_steps, 52u);
+}
+
+TEST(SpTunerMs, TuneAllRecordsEachRunOnceInTheRegistry) {
+  const auto corpus = split_scenario().corpus();
+  const auto pairs = detect_sibling_prefixes(corpus);
+  ASSERT_EQ(pairs.size(), 2u);
+  auto& registry = obs::MetricsRegistry::global();
+  const obs::Counter runs = registry.counter("sptuner.runs");
+  const obs::Counter pairs_tuned = registry.counter("sptuner.pairs_tuned");
+  const obs::Counter refine_steps = registry.counter("sptuner.refine_steps");
+  const obs::Histogram run_us = registry.histogram("sptuner.run_us");
+  const std::int64_t runs_before = runs.value();
+  const std::int64_t pairs_before = pairs_tuned.value();
+  const std::int64_t steps_before = refine_steps.value();
+  const std::uint64_t samples_before = obs::HistogramSnapshot::of(run_us).count;
+
+  const SpTunerMs tuner(corpus, {});
+  const auto serial = tuner.tune_all(pairs);
+  const auto parallel = tuner.tune_all_parallel(pairs, 2);
+  const auto less_specific = SpTunerLs(corpus, split_scenario().rib()).tune_all(pairs);
+  EXPECT_GT(serial.refine_steps, 0u);
+  EXPECT_EQ(parallel.refine_steps, serial.refine_steps);
+  EXPECT_EQ(less_specific.refine_steps, 0u);
+
+  const std::int64_t expected_runs = obs::kEnabled ? 3 : 0;
+  EXPECT_EQ(runs.value() - runs_before, expected_runs);
+  EXPECT_EQ(pairs_tuned.value() - pairs_before, expected_runs * 2);
+  EXPECT_EQ(refine_steps.value() - steps_before,
+            obs::kEnabled ? static_cast<std::int64_t>(2 * serial.refine_steps) : 0);
+  EXPECT_EQ(obs::HistogramSnapshot::of(run_us).count - samples_before,
+            static_cast<std::uint64_t>(expected_runs));
 }
 
 // ---------------------------------------------------------------------------
@@ -244,35 +272,8 @@ class SpTunerProperty : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(SpTunerProperty, InvariantsOnRandomCorpora) {
   std::mt19937 rng(GetParam());
-  std::uniform_int_distribution<int> org_count_dist(2, 6);
-  std::uniform_int_distribution<int> domain_count_dist(1, 8);
-  std::uniform_int_distribution<int> offset_dist(1, 200);
-  std::uniform_int_distribution<int> group_dist(0, 3);
-
   for (int round = 0; round < 20; ++round) {
-    ScenarioBuilder builder;
-    const int orgs = org_count_dist(rng);
-    for (int org = 0; org < orgs; ++org) {
-      const std::string v4_base = "20." + std::to_string(org + 1) + ".0.0/16";
-      const std::string v6_base = "2620:" + std::to_string(org + 1) + "00::/32";
-      builder.announce(v4_base, 1000 + static_cast<std::uint32_t>(org));
-      builder.announce(v6_base, 2000 + static_cast<std::uint32_t>(org));
-      const int domains = domain_count_dist(rng);
-      for (int d = 0; d < domains; ++d) {
-        // Cluster addresses into /24 (v4) and /48 (v6) chunks by group, so
-        // refinement has structure to find.
-        const int group = group_dist(rng);
-        const std::string v4 = "20." + std::to_string(org + 1) + "." +
-                               std::to_string(group) + "." + std::to_string(offset_dist(rng));
-        const std::string v6 = "2620:" + std::to_string(org + 1) + "00:" +
-                               std::to_string(group) + "::" + std::to_string(offset_dist(rng));
-        const std::string name = "d" + std::to_string(org) + "-" + std::to_string(d) +
-                                 ".example.org";
-        builder.host(name, {v4.c_str()}, {v6.c_str()});
-      }
-    }
-
-    const auto corpus = builder.corpus();
+    const auto corpus = random_scenario(rng).corpus();
     const auto pairs = detect_sibling_prefixes(corpus);
     const SpTunerConfig config{.v4_threshold = 28, .v6_threshold = 96};
     const SpTunerMs tuner(corpus, config);
