@@ -40,7 +40,8 @@ cmake --build build -j "$JOBS"
 # concurrent sp_serve queries. The chaos soak suite races the entire
 # serving stack at once — probe threads, fault injection, RELOAD churn —
 # and the signal suite races the graceful-stop flag against the DAG
-# scheduler's in-flight stages.
+# scheduler's in-flight stages. The resume suite's 2-thread campaigns race
+# evolve[m+1] against corpus[m] for a month's in-memory RIB.
 cmake -B build-tsan -S . -DSP_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
   core_sptuner_parallel_test serve_lookup_test serve_service_test \
@@ -48,9 +49,9 @@ cmake --build build-tsan -j "$JOBS" --target core_detect_parallel_test \
   obs_metrics_test obs_trace_test net_server_test net_protocol_test \
   sketch_detect_test sketch_signature_test \
   stream_detector_test stream_spdl_test stream_serve_delta_test \
-  chaos_scenario_test chaos_soak_test pipeline_signal_test
+  chaos_scenario_test chaos_soak_test pipeline_signal_test pipeline_resume_test
 (cd build-tsan && ctest --output-on-failure -j "$JOBS" \
-  -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineSignal|WorkerPool|Obs|NetServer|NetProtocol|Sketch|Signature|Lsh|SynthScale|Stream|Chaos' \
+  -R 'DetectParallel|Parallel|Serve|PipelineStageGraph|PipelineSignal|PipelineResume|WorkerPool|Obs|NetServer|NetProtocol|Sketch|Signature|Lsh|SynthScale|Stream|Chaos' \
   -E 'ReloadChurn')
 
 # Stage 3: memory-safety pass over the byte-level parsers under

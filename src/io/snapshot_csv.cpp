@@ -1,6 +1,7 @@
 #include "io/snapshot_csv.h"
 
 #include <charconv>
+#include <cstdio>
 
 #include "io/csv.h"
 
@@ -10,22 +11,12 @@ namespace {
 
 const CsvRow kHeader = {"queried", "response", "v4_addrs", "v6_addrs"};
 
-std::string join_v4(const std::vector<IPv4Address>& addresses) {
-  std::string out;
+template <typename Address>
+void append_joined(std::string& out, const std::vector<Address>& addresses) {
   for (std::size_t i = 0; i < addresses.size(); ++i) {
     if (i > 0) out.push_back('|');
     out += addresses[i].to_string();
   }
-  return out;
-}
-
-std::string join_v6(const std::vector<IPv6Address>& addresses) {
-  std::string out;
-  for (std::size_t i = 0; i < addresses.size(); ++i) {
-    if (i > 0) out.push_back('|');
-    out += addresses[i].to_string();
-  }
-  return out;
 }
 
 // Splits "a|b|c" and parses each element; empty input gives an empty list.
@@ -65,15 +56,27 @@ std::optional<Date> parse_date(const std::string& text) {
 }  // namespace
 
 bool write_snapshot_csv(const std::string& path, const dns::ResolutionSnapshot& snapshot) {
-  std::vector<CsvRow> rows;
-  rows.reserve(snapshot.domain_count() + 2);
-  rows.push_back({"#date", snapshot.date().to_string()});
-  rows.push_back(kHeader);
+  // Rows are appended unquoted: a domain name's labels hold only
+  // [a-z0-9_-] (dns/name.cpp's valid_label) joined by '.', and addresses
+  // hold hex digits, '.' and ':', so no field ever contains a character
+  // format_csv_row would quote. The bytes are those of write_csv_file.
+  std::string text = "#date," + snapshot.date().to_string() + "\n";
+  text += format_csv_row(kHeader);
+  text.push_back('\n');
   for (const auto& entry : snapshot.entries()) {
-    rows.push_back({entry.queried.to_string(), entry.response_name.to_string(),
-                    join_v4(entry.v4), join_v6(entry.v6)});
+    text += entry.queried.to_string();
+    text.push_back(',');
+    text += entry.response_name.to_string();
+    text.push_back(',');
+    append_joined(text, entry.v4);
+    text.push_back(',');
+    append_joined(text, entry.v6);
+    text.push_back('\n');
   }
-  return write_csv_file(path, rows);
+  std::FILE* out = std::fopen(path.c_str(), "wb");
+  if (out == nullptr) return false;
+  const bool written = std::fwrite(text.data(), 1, text.size(), out) == text.size();
+  return std::fclose(out) == 0 && written;
 }
 
 std::optional<dns::ResolutionSnapshot> read_snapshot_csv(const std::string& path) {

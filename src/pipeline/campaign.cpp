@@ -9,7 +9,9 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "bgp/rib.h"
 #include "core/corpus.h"
@@ -18,6 +20,7 @@
 #include "core/sibling_diff.h"
 #include "core/sibling_list_io.h"
 #include "core/sptuner.h"
+#include "dns/snapshot.h"
 #include "io/snapshot_csv.h"
 #include "lint/lock_order.h"
 #include "mrt/file.h"
@@ -78,7 +81,7 @@ bool mkdir_p(const std::string& dir, std::string* error) {
 /// manifest bookkeeping. Stage bodies run on pool workers; every shared
 /// structure below is either sized before run() (states_, months_) with
 /// publication ordered by the graph's dependency edges, or guarded by
-/// its own mutex (pending_, manifest_, per-month corpus slots).
+/// its own mutex (pending_, manifest_, per-month slots).
 class Runner {
  public:
   Runner(const CampaignConfig& config, bool resume,
@@ -96,9 +99,22 @@ class Runner {
   struct StageState {
     std::uint64_t outputs_hash = kFnvBasis;
   };
+  /// One month's in-memory hand-offs (DESIGN.md §3.3). A producer fills
+  /// its slot only after its artifact is durably finalized; a consumer
+  /// that finds a slot empty (the producer was cached on a resume, or
+  /// evolve[m+1] took the RIB first) reads the artifact from disk.
   struct MonthContext {
+    // lock-order: 38 pipeline.campaign.month_mutex (taken from the evolve,
+    // export, corpus, detect and sptuner bodies with no other campaign
+    // lock held; never two months at once. The corpus build under it
+    // records trace spans and metrics)
     std::mutex mutex;
     std::shared_ptr<const core::DualStackCorpus> corpus;
+    /// evolve[m]'s RIB. evolve[m+1] moves it out and replays onto it;
+    /// corpus[m] builds from it in place, and the last month's releases it.
+    std::optional<bgp::Rib> rib;
+    /// export[m]'s snapshot; the corpus build empties it.
+    std::optional<dns::ResolutionSnapshot> snapshot;
   };
 
   [[nodiscard]] std::string abs(const std::string& rel) const {
@@ -129,8 +145,12 @@ class Runner {
                                  std::span<const core::SiblingPair> pairs, std::string* error);
   [[nodiscard]] std::optional<std::vector<core::SiblingPair>> read_pairs(
       const std::string& rel, std::string* error);
+  [[nodiscard]] std::optional<bgp::Rib> read_rib(int month, std::string* error) const;
   [[nodiscard]] std::shared_ptr<const core::DualStackCorpus> corpus_for(int month,
                                                                         std::string* error);
+  [[nodiscard]] MonthContext& month_context(int month) {
+    return *months_[static_cast<std::size_t>(month)];
+  }
 
   CampaignConfig config_;
   bool resume_;
@@ -166,8 +186,8 @@ class Runner {
   /// contention is nil; the mutex makes the hand-off explicit and keeps
   /// the invariant checkable.
   // lock-order: 37 pipeline.campaign.stream_mutex (taken from detect
-  // stage bodies only, after the month corpus mutex is released; leaf —
-  // nothing is acquired under it)
+  // stage bodies only, after pipeline.campaign.month_mutex is released;
+  // held across the detector's pool submits)
   std::mutex stream_mutex_;
   int stream_month_ = -1;
   stream::StreamDetector stream_;
@@ -329,25 +349,46 @@ std::optional<std::vector<core::SiblingPair>> Runner::read_pairs(const std::stri
   return pairs;
 }
 
+/// The disk fallback of a month's RIB slot: parses rib-<d>.mrt.
+std::optional<bgp::Rib> Runner::read_rib(int month, std::string* error) const {
+  std::string parse_error;
+  const auto records = mrt::read_file(abs(rib_name(month)), &parse_error);
+  if (!records) {
+    *error = "cannot read " + rib_name(month) + ": " + parse_error;
+    return std::nullopt;
+  }
+  return bgp::Rib::from_mrt(*records);
+}
+
 std::shared_ptr<const core::DualStackCorpus> Runner::corpus_for(int month, std::string* error) {
-  MonthContext& context = *months_[static_cast<std::size_t>(month)];
+  MonthContext& context = month_context(month);
   const std::lock_guard<std::mutex> lock(context.mutex);
-  if (!context.corpus) {
-    std::string parse_error;
-    const auto records = mrt::read_file(abs(rib_name(month)), &parse_error);
-    if (!records) {
-      *error = "cannot read " + rib_name(month) + ": " + parse_error;
-      return nullptr;
-    }
-    const auto snapshot = io::read_snapshot_csv(abs(snapshot_name(month)));
+  [[maybe_unused]] const lint::LockOrderScope held("pipeline.campaign.month_mutex");
+  if (context.corpus) return context.corpus;
+  // A disk-read RIB stays local: evolve[m+1], its other reader, either
+  // already ran or reads the artifact itself.
+  std::optional<bgp::Rib> disk_rib;
+  if (!context.rib) {
+    const obs::ScopedSpan span("corpus.read_rib", "phase");
+    disk_rib = read_rib(month, error);
+    if (!disk_rib) return nullptr;
+  }
+  auto snapshot = std::exchange(context.snapshot, std::nullopt);
+  if (!snapshot) {
+    const obs::ScopedSpan span("corpus.read_snapshot", "phase");
+    snapshot = io::read_snapshot_csv(abs(snapshot_name(month)));
     if (!snapshot) {
       *error = "cannot read " + snapshot_name(month);
       return nullptr;
     }
-    const bgp::Rib rib = bgp::Rib::from_mrt(*records);
-    context.corpus = std::make_shared<const core::DualStackCorpus>(
-        core::DualStackCorpus::build(*snapshot, rib));
   }
+  {
+    const obs::ScopedSpan span("corpus.build", "phase");
+    context.corpus = std::make_shared<const core::DualStackCorpus>(
+        core::DualStackCorpus::build(*snapshot, disk_rib ? *disk_rib : *context.rib));
+  }
+  // No evolve stage follows the last month to take its RIB.
+  if (month + 1 == universe_.month_count()) context.rib.reset();
   return context.corpus;
 }
 
@@ -386,26 +427,39 @@ void Runner::build_graph() {
         "evolve[" + d + "]",
         m == 0 ? std::vector<StageId>{} : std::vector<StageId>{evolve_ids[m - 1]}, synth_hash,
         std::move(evolve_outputs), [this, m](std::string* error) {
-          if (m == 0) return write_mrt(rib_name(0), universe_.mrt_dump_at(0), error);
-          std::string parse_error;
-          const auto previous = [&] {
-            const obs::ScopedSpan span("evolve.read_rib", "phase");
-            return mrt::read_file(abs(rib_name(m - 1)), &parse_error);
-          }();
-          if (!previous) {
-            *error = "cannot read " + rib_name(m - 1) + ": " + parse_error;
-            return false;
+          std::optional<bgp::Rib> rib;
+          if (m == 0) {
+            const auto dump = universe_.mrt_dump_at(0);
+            if (!write_mrt(rib_name(0), dump, error)) return false;
+            rib = bgp::Rib::from_mrt(dump);
+          } else {
+            {
+              MonthContext& previous = month_context(m - 1);
+              const std::lock_guard<std::mutex> lock(previous.mutex);
+              [[maybe_unused]] const lint::LockOrderScope held("pipeline.campaign.month_mutex");
+              rib = std::exchange(previous.rib, std::nullopt);
+            }
+            if (!rib) {
+              const obs::ScopedSpan span("evolve.read_rib", "phase");
+              rib = read_rib(m - 1, error);
+              if (!rib) return false;
+            }
+            const auto updates = universe_.bgp4mp_updates_at(m);
+            {
+              const obs::ScopedSpan span("evolve.replay", "phase");
+              rib->apply_updates(updates);
+            }
+            const obs::ScopedSpan span("evolve.write", "phase");
+            if (!write_mrt(updates_name(m), updates, error) ||
+                !write_mrt(rib_name(m), rib->to_mrt(), error)) {
+              return false;
+            }
           }
-          const auto updates = universe_.bgp4mp_updates_at(m);
-          const bgp::Rib rib = [&] {
-            const obs::ScopedSpan span("evolve.replay", "phase");
-            bgp::Rib replayed = bgp::Rib::from_mrt(*previous);
-            replayed.apply_updates(updates);
-            return replayed;
-          }();
-          const obs::ScopedSpan span("evolve.write", "phase");
-          return write_mrt(updates_name(m), updates, error) &&
-                 write_mrt(rib_name(m), rib.to_mrt(), error);
+          MonthContext& context = month_context(m);
+          const std::lock_guard<std::mutex> lock(context.mutex);
+          [[maybe_unused]] const lint::LockOrderScope held("pipeline.campaign.month_mutex");
+          context.rib = std::move(rib);
+          return true;
         });
 
     export_ids[m] = add_stage(
@@ -413,7 +467,7 @@ void Runner::build_graph() {
         [this, m](std::string* error) {
           const std::string path = abs(snapshot_name(m));
           const std::string tmp = path + ".tmp";
-          const auto snapshot = [&] {
+          auto snapshot = [&] {
             const obs::ScopedSpan span("export.render", "phase");
             return universe_.snapshot_at(m);
           }();
@@ -424,7 +478,12 @@ void Runner::build_graph() {
               return false;
             }
           }
-          return finalize_output(tmp, path, error);
+          if (!finalize_output(tmp, path, error)) return false;
+          MonthContext& context = month_context(m);
+          const std::lock_guard<std::mutex> lock(context.mutex);
+          [[maybe_unused]] const lint::LockOrderScope held("pipeline.campaign.month_mutex");
+          context.snapshot = std::move(snapshot);
+          return true;
         });
 
     corpus_ids[m] = add_stage(
@@ -496,9 +555,10 @@ void Runner::build_graph() {
           const bool ok = write_pairs(tuned_name(m), tuner.tune_all(*pairs).pairs, error);
           // Last corpus consumer of the month: release the in-memory
           // corpus so resident memory tracks months in flight.
-          const std::lock_guard<std::mutex> lock(
-              months_[static_cast<std::size_t>(m)]->mutex);
-          months_[static_cast<std::size_t>(m)]->corpus.reset();
+          MonthContext& context = month_context(m);
+          const std::lock_guard<std::mutex> lock(context.mutex);
+          [[maybe_unused]] const lint::LockOrderScope held("pipeline.campaign.month_mutex");
+          context.corpus.reset();
           return ok;
         });
 

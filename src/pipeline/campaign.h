@@ -4,14 +4,14 @@
 // Per month m (dated d):
 //
 //   evolve[d]   month-0: full synthetic TABLE_DUMP_V2 dump; month-m:
-//               parse the month-(m-1) RIB artifact, replay that month's
-//               BGP4MP updates, export the evolved RIB (bgp::Rib::to_mrt)
+//               take the month-(m-1) RIB, replay that month's BGP4MP
+//               updates onto it, export the evolved RIB (bgp::Rib::to_mrt)
 //               → rib-<d>.mrt (+ updates-<d>.mrt). Depends on
 //               evolve[m-1]: the cross-month chain of the DAG.
 //   export[d]   resolution snapshot CSV → snapshot-<d>.csv
-//   corpus[d]   rib + snapshot files → DualStackCorpus (kept in memory
-//               for the month's detect/sptuner stages) + corpus-<d>.txt
-//               stats marker
+//   corpus[d]   rib + snapshot → DualStackCorpus (kept in memory for the
+//               month's detect/sptuner stages) + corpus-<d>.txt stats
+//               marker
 //   detect[d]   sibling pair detection → pairs-<d>.csv
 //   sptuner[d]  SP-Tuner-MS refinement  → tuned-<d>.csv
 //   publish[d]  canonical published list → siblings-<d>.csv
@@ -33,11 +33,15 @@
 // a changed threshold re-runs only the sptuner→…→longitudinal cone while
 // the detection cone stays cached.
 //
-// A skipped corpus stage does not rebuild its in-memory corpus; if a
-// downstream stage of that month does run, it lazily re-materializes the
-// corpus from the (checkpoint-verified) rib/snapshot artifacts. The
-// corpus is dropped once the month's sptuner stage — its last consumer —
-// completes, bounding resident memory to the months in flight.
+// evolve[m] and export[m] hand the RIB and the resolution snapshot they
+// just wrote to the month's corpus build (and the RIB on to evolve[m+1])
+// in memory; a consumer whose producer was cached on a resume reads the
+// (checkpoint-verified) artifact instead (DESIGN.md §3.3). A skipped
+// corpus stage does not rebuild its in-memory corpus; if a downstream
+// stage of that month does run, it lazily re-materializes the corpus the
+// same way. The corpus is dropped once the month's sptuner stage — its
+// last consumer — completes, bounding resident memory to the months in
+// flight.
 //
 // The synthetic universe is rebuilt at the start of every run (it is a
 // pure function of the synth config and is not serialized); checkpoints

@@ -54,6 +54,39 @@ TEST(SnapshotCsv, RoundTrips) {
   std::remove(path.c_str());
 }
 
+// Pins the exact bytes of the format: one empty address side each way,
+// several '|'-joined addresses, and the root as a response name.
+TEST(SnapshotCsv, WritesGoldenBytes) {
+  const std::string path = ::testing::TempDir() + "/sp_snapshot_golden.csv";
+  auto snapshot = example_snapshot();
+  dns::DomainResolution apex;
+  apex.queried = dns::DomainName::must_parse("apex.example");
+  apex.response_name = dns::DomainName();  // the root
+  apex.v4 = {*IPv4Address::from_string("192.0.2.1"), *IPv4Address::from_string("198.51.100.7"),
+             *IPv4Address::from_string("203.0.113.255")};
+  apex.v6 = {*IPv6Address::from_string("2001:db8::1"),
+             *IPv6Address::from_string("2001:db8:0:1:0:0:0:0")};
+  snapshot.add(std::move(apex));
+  ASSERT_TRUE(write_snapshot_csv(path, snapshot));
+
+  std::FILE* in = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(in, nullptr);
+  std::string text;
+  char buffer[256];
+  for (std::size_t got; (got = std::fread(buffer, 1, sizeof buffer, in)) > 0;) {
+    text.append(buffer, got);
+  }
+  std::fclose(in);
+  EXPECT_EQ(text,
+            "#date,2024-09-11\n"
+            "queried,response,v4_addrs,v6_addrs\n"
+            "www.shop.example,edge7.cdn.example,20.1.1.10|20.1.1.11,2620:100::10\n"
+            "old.example,old.example,20.2.2.2,\n"
+            "new.example,new.example,,2620:200::1\n"
+            "apex.example,.,192.0.2.1|198.51.100.7|203.0.113.255,2001:db8::1|2001:db8:0:1::\n");
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotCsv, RejectsMalformedFiles) {
   const std::string path = ::testing::TempDir() + "/sp_snapshot_bad.csv";
   // Missing date row.

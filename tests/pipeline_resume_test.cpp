@@ -10,13 +10,16 @@
 // primitives the contract rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/trace.h"
 #include "pipeline/campaign.h"
 #include "pipeline/checkpoint.h"
 #include "pipeline/manifest.h"
@@ -153,33 +156,77 @@ TEST(PipelineResume, ChangedThresholdInvalidatesOnlyTheTunerCone) {
   }
 }
 
-TEST(PipelineResume, CorruptedArtifactRerunsExactlyThatStage) {
-  const std::string dir = fresh_dir("sp_campaign_corrupt");
+/// One clobbered artifact: output `output` of the `month`-th (date
+/// order) stage named `kind`. `fallback_spans` are the disk-fallback reads
+/// the resume must record; the other fallback reads must not fire.
+struct Clobber {
+  std::string label;
+  std::string kind;
+  std::size_t month;
+  std::size_t output;
+  std::vector<std::string> fallback_spans;
+};
+
+/// Clobbers one artifact of a cold run and resumes. Its producer re-runs
+/// and — the content-addressed part — regenerates identical bytes, so
+/// every downstream checkpoint revalidates and stays cached.
+void expect_clobber_reruns_exactly_its_stage(const Clobber& clobber) {
+  const std::string dir = fresh_dir("sp_campaign_corrupt_" + clobber.label);
   const auto report = Campaign(small_config(dir)).run(/*resume=*/false);
   ASSERT_TRUE(report.ok) << report.error;
   const RunManifest before = load_manifest(dir);
 
-  // Clobber one mid-pipeline artifact. Its producer re-runs and — the
-  // content-addressed part — regenerates identical bytes, so every
-  // downstream checkpoint revalidates and stays cached.
-  const StageRecord* detect = nullptr;
+  std::vector<std::string> names;
   for (const StageRecord& stage : before.stages) {
-    if (stage.name.rfind("detect", 0) == 0) detect = &stage;
+    if (stage.name.rfind(clobber.kind + "[", 0) == 0) names.push_back(stage.name);
   }
-  ASSERT_NE(detect, nullptr);
+  std::sort(names.begin(), names.end());  // ISO dates sort by month
+  ASSERT_LT(clobber.month, names.size());
+  const StageRecord* target = before.find(names[clobber.month]);
+  ASSERT_LT(clobber.output, target->outputs.size());
   {
-    std::ofstream out(dir + "/" + detect->outputs[0].path, std::ios::trunc);
+    std::ofstream out(dir + "/" + target->outputs[clobber.output].path, std::ios::trunc);
     out << "corrupted\n";
   }
 
+  obs::TraceRecorder recorder;
+  obs::TraceRecorder::set_active(&recorder);
   const auto resumed = Campaign(small_config(dir)).run(/*resume=*/true);
+  obs::TraceRecorder::set_active(nullptr);
   ASSERT_TRUE(resumed.ok) << resumed.error;
   EXPECT_EQ(resumed.done_count, 1u);
   EXPECT_EQ(resumed.cached_count, before.stages.size() - 1);
 
   const RunManifest after = load_manifest(dir);
   expect_same_hashes(before, after);
-  EXPECT_EQ(after.find(detect->name)->status, "done");
+  EXPECT_EQ(after.find(target->name)->status, "done");
+
+  std::set<std::string> recorded;
+  for (const obs::TraceEvent& event : recorder.events()) recorded.insert(event.name);
+  for (const std::string span : {"evolve.read_rib", "corpus.read_rib", "corpus.read_snapshot"}) {
+    const bool expected = std::find(clobber.fallback_spans.begin(), clobber.fallback_spans.end(),
+                                    span) != clobber.fallback_spans.end();
+    EXPECT_EQ(recorded.count(span), expected ? 1u : 0u) << span;
+  }
+}
+
+// detect[m] re-runs on a cached corpus stage, so it rebuilds the corpus
+// from the month's artifacts.
+TEST(PipelineResume, CorruptedArtifactRerunsExactlyThatStage) {
+  expect_clobber_reruns_exactly_its_stage(
+      {"pairs", "detect", 2, 0, {"corpus.read_rib", "corpus.read_snapshot"}});
+}
+
+// corpus[m] re-runs with evolve[m] and export[m] cached: both slots are
+// empty, so it reads rib-<m>.mrt and snapshot-<m>.csv.
+TEST(PipelineResume, CorruptedCorpusMarkerRebuildsFromDisk) {
+  expect_clobber_reruns_exactly_its_stage(
+      {"corpus", "corpus", 1, 0, {"corpus.read_rib", "corpus.read_snapshot"}});
+}
+
+// evolve[1] re-runs with evolve[0] cached: it reads rib-<month 0>.mrt.
+TEST(PipelineResume, CorruptedRibRerunsEvolveFromPreviousRibOnDisk) {
+  expect_clobber_reruns_exactly_its_stage({"rib", "evolve", 1, 1, {"evolve.read_rib"}});
 }
 
 TEST(PipelineManifest, JsonRoundTripPreservesEverything) {

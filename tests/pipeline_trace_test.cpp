@@ -1,7 +1,7 @@
 // --trace span coverage: a traced campaign run records not just the
 // per-stage spans (stage_graph.cpp) but the inner phases of the
-// interesting stages — evolve's read/replay/write, export's
-// render/write, the sibdb conversion, and the sibdelta load/diff/write —
+// interesting stages — evolve's replay/write, export's render/write, the
+// corpus build, the sibdb conversion, and the sibdelta load/diff/write —
 // plus the serve-side sibdb writer spans, so a Perfetto view shows where
 // a month's wall time actually goes.
 #include <gtest/gtest.h>
@@ -43,10 +43,12 @@ TEST(PipelineTrace, CampaignTraceRecordsInnerPhaseSpans) {
   ASSERT_TRUE(report.error.empty()) << report.error;
   const std::string trace = read_file(config.trace_path);
 
-  // Stage spans (already covered elsewhere) and the new phase spans.
+  // The phase spans every cold run emits. The disk-fallback reads
+  // (evolve.read_rib, corpus.read_rib, corpus.read_snapshot) fire only
+  // when a hand-off slot is empty; pipeline_resume_test forces them.
   for (const char* name :
-       {"\"evolve.read_rib\"", "\"evolve.replay\"", "\"evolve.write\"", "\"export.render\"",
-        "\"export.write_csv\"", "\"sibdb.write\"", "\"sibdelta.load\"", "\"sibdelta.diff\"",
+       {"\"evolve.replay\"", "\"evolve.write\"", "\"export.render\"", "\"export.write_csv\"",
+        "\"corpus.build\"", "\"sibdb.write\"", "\"sibdelta.load\"", "\"sibdelta.diff\"",
         "\"sibdelta.write\""}) {
     EXPECT_NE(trace.find(name), std::string::npos) << name;
   }
@@ -56,6 +58,9 @@ TEST(PipelineTrace, CampaignTraceRecordsInnerPhaseSpans) {
 // On a 1-thread pool every stage runs inline on the calling thread, and a
 // finished stage dispatches its dependents from inside execute(). A stage
 // span must cover its own body only, so no stage span contains another.
+// The same depth-first order runs each month's chain before the next
+// evolve stage, so corpus[m] always finds evolve[m]'s RIB and export[m]'s
+// snapshot in memory: a cold serial run reads no artifact back.
 TEST(PipelineTrace, SerialStageSpansDoNotNest) {
   const std::string dir = ::testing::TempDir() + "/trace_serial";
   std::filesystem::remove_all(dir);
@@ -73,9 +78,15 @@ TEST(PipelineTrace, SerialStageSpansDoNotNest) {
   ASSERT_TRUE(report.error.empty()) << report.error;
 
   std::vector<obs::TraceEvent> stages;
+  std::size_t corpus_builds = 0;
   for (const obs::TraceEvent& event : recorder.events()) {
     if (event.category == "stage") stages.push_back(event);
+    if (event.name == "corpus.build") ++corpus_builds;
+    EXPECT_NE(event.name, "evolve.read_rib");
+    EXPECT_NE(event.name, "corpus.read_rib");
+    EXPECT_NE(event.name, "corpus.read_snapshot");
   }
+  EXPECT_EQ(corpus_builds, 3u);
   ASSERT_GT(stages.size(), 3u);
   for (const obs::TraceEvent& outer : stages) {
     for (const obs::TraceEvent& inner : stages) {
